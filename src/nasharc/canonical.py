@@ -74,7 +74,6 @@ def _refine(partition: Partition, mult: list[list[int]]) -> Partition:
 
 
 def _encode(order: list[int], graph: DualGraph, mult: list[list[int]]):
-    pos = {v: k for k, v in enumerate(order)}
     deco = tuple(
         (graph.vertices[v].self_int, graph.vertices[v].genus, tuple(sorted(graph.vertices[v].labels)))
         for v in order
@@ -86,7 +85,6 @@ def _encode(order: list[int], graph: DualGraph, mult: list[list[int]]):
             m = mult[order[a]][order[b]]
             if m:
                 adj.append((a, b, m))
-    del pos
     return (deco, tuple(sorted(adj)))
 
 

@@ -65,8 +65,8 @@ from .obstructions import (
     valuative_obstruction,
 )
 from .polynomials import parse_poly
-from .rationals import format_rational
-from .valuations import compare, curvette_order_rows, ord_poly
+from .rationals import format_rational, parse_rational
+from .valuations import cluster_matrix, compare, curvette_order_rows, ord_poly
 
 REPORT_SCHEMA = "report/1"
 
@@ -421,8 +421,6 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
             raise ValidationError(f"{path}: missing field {field!r}")
     b = doc.get("b")
     if b is not None:
-        from .rationals import parse_rational
-
         b = tuple(parse_rational(v) for v in b)
     coeffs = doc.get("coeffs")
     return WedgeNumericalModel(
@@ -440,8 +438,6 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
 
 def _cmd_dfd_check(args) -> int:
     model = _load_wedge_model(args.input, args)
-    from .valuations import cluster_matrix
-
     M = cluster_matrix(model.cluster)
     inverse = M.inverse()
     b = solve_b(model)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .dual_graphs import DualGraph, GraphVertex
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
 from .rationals import INF, Tangent, _Infinity, format_tangent, parse_tangent
 
@@ -326,7 +326,11 @@ def germ_touch_count(cluster: BlowupCluster, last: int) -> int:
             )
         chain.append(point.parent)
     count = len(chain)
-    assert count == canonical_coeffs(cluster)[last]
+    if count != canonical_coeffs(cluster)[last]:
+        raise InternalInvariantError(
+            f"germ through component {last} touches {count} centers, "
+            f"but its canonical coefficient differs"
+        )
     return count
 
 

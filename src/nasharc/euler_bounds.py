@@ -86,10 +86,10 @@ def tubes_bound(data: EulerInput) -> int:
     total = 0
     for i in range(n):
         off = sum(matrix.rows[i][k] for k in range(n) if k != i)
-        chi = 2 - 2 * data.graph.vertices[i].genus - int(off)
+        chi = 2 - 2 * data.graph.vertices[i].genus - off
         if i == attach:
             chi -= 1
-        total += a[i] * int(chi)
+        total += a[i] * chi
     return total
 
 

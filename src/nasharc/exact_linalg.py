@@ -1,37 +1,100 @@
 """Dense square matrices over the exact rationals.
 
 This is the arithmetic backbone for every intersection-lattice computation
-in the package: fraction-free Bareiss determinants, exact Gauss-Jordan
-inverses, Sylvester-style negative-definiteness tests and the sign report
-for inverse matrices.  Matrices are immutable; all operations return new
-values and are safe to run concurrently.
+in the package.  An entry is an ``int`` whenever it is integral and a
+``Fraction`` only for a true quotient.  Determinants, leading principal
+minors, the Sylvester negative-definiteness test, inverses and linear
+solves all run one fraction-free Gauss-Jordan elimination over Python
+integers (Bareiss, Math. Comp. 22, 1968), followed by a single exact
+division.  Matrices are immutable; all operations return new values and
+are safe to run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import InternalInvariantError, SingularMatrixError, ValidationError
 from .rationals import format_rational, parse_rational
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce(value) -> Fraction | int:
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return parse_rational(value)
+        value = parse_rational(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise ValidationError(f"matrix entries must be exact rationals, got {value!r}")
+
+
+def _quotient(num: int, den: int) -> Fraction | int:
+    """num / den, as an int when the division is exact."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those positive scales."""
+    out, scales = [], []
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (s // v.denominator) for v in row])
+        scales.append(s)
+    return out, scales
+
+
+def _eliminate(m: list[list[int]], swaps: bool) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of the leading square block of m.
+
+    m holds n integer rows of width >= n and is reduced in place.  Step k
+    clears column k in every other row by (a * pivot - b * c) / previous
+    pivot; Sylvester's identity makes that division exact, which is
+    checked.  Returns the pivots: the k-th is the leading (k+1)-minor of m
+    with its rows as reordered.  With ``swaps``, a zero pivot is replaced by
+    the first nonzero entry below it, whose row comes up negated so that no
+    minor changes sign.  A zero pivot that stays ends the sweep, so fewer
+    than n pivots mean a vanishing minor (with ``swaps``: det m = 0).
+    After all n steps, row i of the appended columns holds det times row i
+    of the solution X of the appended system M X = B.
+    """
+    n = len(m)
+    width = len(m[0]) if m else 0
+    pivots: list[int] = []
+    prev = 1
+    for k in range(n):
+        if swaps and m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is not None:
+                m[k], m[r] = [-v for v in m[r]], m[k]
+        pivot = m[k][k]
+        if pivot == 0:
+            break
+        pivots.append(pivot)
+        row_k = m[k]
+        for r in range(n):
+            if r == k:
+                continue
+            row_r = m[r]
+            factor = row_r[k]
+            for c in range(k + 1, width):
+                quotient, remainder = divmod(row_r[c] * pivot - factor * row_k[c], prev)
+                if remainder:
+                    raise InternalInvariantError("fraction-free elimination lost exactness")
+                row_r[c] = quotient
+            row_r[k] = 0
+        prev = pivot
+    return pivots
 
 
 @dataclass(frozen=True)
 class ExactMatrix:
     """An n-by-n matrix of exact rationals."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         n = len(self.rows)
@@ -47,14 +110,13 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Fraction | int:
         return self.rows[i][j]
 
     def transpose(self) -> "ExactMatrix":
@@ -67,20 +129,19 @@ class ExactMatrix:
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValidationError("dimension mismatch in matrix product")
-        n = self.n
         cols = other.transpose().rows
         return ExactMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(_coerce(sum(a * b for a, b in zip(row, col))) for col in cols)
                 for row in self.rows
             )
         )
 
-    def matvec(self, vec: Sequence) -> tuple[Fraction, ...]:
+    def matvec(self, vec: Sequence) -> tuple[Fraction | int, ...]:
         if len(vec) != self.n:
             raise ValidationError("dimension mismatch in matrix-vector product")
         v = [_coerce(x) for x in vec]
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        return tuple(_coerce(sum(a * b for a, b in zip(row, v))) for row in self.rows)
 
     def is_symmetric(self) -> bool:
         n = self.n
@@ -91,142 +152,55 @@ class ExactMatrix:
 
     # -- determinants ------------------------------------------------------
 
-    def determinant(self) -> Fraction:
-        """Exact determinant by fraction-free Bareiss elimination with row swaps."""
-        n = self.n
-        if n == 0:
-            return Fraction(1)
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for r in range(k + 1, n):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = pivot
-        return sign * m[n - 1][n - 1]
+    def determinant(self) -> Fraction | int:
+        """Exact determinant by fraction-free elimination with row swaps."""
+        m, scales = _integer_rows(self.rows)
+        pivots = _eliminate(m, swaps=True)
+        if len(pivots) < self.n:
+            return 0
+        return _quotient(pivots[-1] if pivots else 1, prod(scales))
 
-    def leading_principal_minors(self) -> tuple[Fraction, ...]:
-        """The n leading principal minors, via one swap-free Bareiss sweep.
+    def leading_principal_minors(self) -> tuple[Fraction | int, ...]:
+        """The n leading principal minors, via one swap-free elimination sweep.
 
-        The k-th Bareiss pivot is exactly the k-th leading minor.  When a
-        zero pivot is hit the sweep cannot continue, which is precisely the
-        situation where that minor is zero; the remaining minors are then
-        computed by independent sub-determinants.
+        The k-th pivot is the k-th leading minor of the row-scaled matrix.
+        When a zero pivot is hit the sweep cannot continue, which is
+        precisely the situation where that minor is zero; the remaining
+        minors are then computed by independent sub-determinants.
         """
         n = self.n
-        m = [list(row) for row in self.rows]
-        minors: list[Fraction] = []
-        prev = Fraction(1)
-        for k in range(n):
-            pivot = m[k][k]
-            minors.append(pivot)
-            if pivot == 0:
-                for size in range(k + 2, n + 1):
-                    sub = ExactMatrix(tuple(tuple(self.rows[i][:size]) for i in range(size)))
-                    minors.append(sub.determinant())
-                return tuple(minors)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = pivot
+        m, scales = _integer_rows(self.rows)
+        pivots = _eliminate(m, swaps=False)
+        minors = [_quotient(p, prod(scales[: k + 1])) for k, p in enumerate(pivots)]
+        if len(pivots) < n:
+            minors.append(0)
+            for size in range(len(minors) + 1, n + 1):
+                minors.append(ExactMatrix(tuple(row[:size] for row in self.rows[:size])).determinant())
         return tuple(minors)
 
     # -- inverses and solving ----------------------------------------------
 
+    def _solve_rows(self, rhs_rows: Iterable[Sequence]) -> list[list[Fraction | int]]:
+        """X with M X = B, given the rows of B; raises SingularMatrixError when det = 0."""
+        n = self.n
+        m, _ = _integer_rows(row + tuple(b) for row, b in zip(self.rows, rhs_rows))
+        pivots = _eliminate(m, swaps=True)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular, no exact inverse or solution")
+        det = pivots[-1] if pivots else 1
+        return [[_quotient(v, det) for v in row[n:]] for row in m]
+
     def inverse(self) -> "ExactMatrix":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input.
-
-        Integer matrices take a fraction-free route (Jordan variant of
-        Bareiss elimination) that defers all divisions to a single final
-        one by the determinant.
-        """
-        if self.is_integral():
-            return self._inverse_fraction_free()
+        """Exact inverse; raises SingularMatrixError on singular input."""
         n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular, no exact inverse")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = aug[col][col]
-            aug[col] = [v / pivot for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return ExactMatrix(tuple(tuple(row[n:]) for row in aug))
+        unit_rows = ([int(i == j) for j in range(n)] for i in range(n))
+        return ExactMatrix(tuple(map(tuple, self._solve_rows(unit_rows))))
 
-    def _inverse_fraction_free(self) -> "ExactMatrix":
-        n = self.n
-        m = [
-            [row[j].numerator for j in range(n)] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        prev = 1
-        for k in range(n):
-            if m[k][k] == 0:
-                for r in range(k + 1, n):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        for c in range(2 * n):
-                            m[k][c] = -m[k][c]
-                        break
-                else:
-                    raise SingularMatrixError("matrix is singular, no exact inverse")
-            pivot = m[k][k]
-            for r in range(n):
-                if r == k:
-                    continue
-                factor = m[r][k]
-                row_r, row_k = m[r], m[k]
-                for c in range(2 * n):
-                    if c == k:
-                        continue
-                    value = row_r[c] * pivot - factor * row_k[c]
-                    quotient, remainder = divmod(value, prev)
-                    if remainder:
-                        raise SingularMatrixError(
-                            "fraction-free elimination lost exactness; matrix is not integral"
-                        )
-                    row_r[c] = quotient
-                row_r[k] = 0
-            prev = pivot
-        det = m[n - 1][n - 1] if n else 1
-        return ExactMatrix(
-            tuple(tuple(Fraction(m[i][n + j], det) for j in range(n)) for i in range(n))
-        )
-
-    def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
+    def solve(self, rhs: Sequence) -> tuple[Fraction | int, ...]:
         """Solve M x = rhs exactly; raises SingularMatrixError when det = 0."""
-        n = self.n
-        if len(rhs) != n:
+        if len(rhs) != self.n:
             raise ValidationError("right-hand side has wrong length")
-        aug = [list(row) + [_coerce(rhs[i])] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular, cannot solve")
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            pivot = aug[col][col]
-            aug[col] = [v / pivot for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return tuple(aug[i][n] for i in range(n))
+        return tuple(x for (x,) in self._solve_rows((_coerce(b),) for b in rhs))
 
     # -- serialization -------------------------------------------------------
 
@@ -245,23 +219,17 @@ class ExactMatrix:
 def is_negative_definite(matrix: ExactMatrix) -> bool:
     """Sylvester test: (-1)^k times the k-th leading minor is positive for all k.
 
-    Only symmetric matrices are accepted; the test is exact.
+    Only symmetric matrices are accepted; the test is exact.  The pivots of
+    a swap-free sweep over the row-scaled matrix are the leading minors
+    times positive scales, so their signs decide.
     """
     if not matrix.is_symmetric():
         raise ValidationError("negative-definiteness is only defined for symmetric matrices")
-    prev = Fraction(1)
-    m = [list(row) for row in matrix.rows]
-    n = matrix.n
-    for k in range(n):
-        pivot = m[k][k]
-        if (-1) ** (k + 1) * pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = pivot
-    return True
+    m, _ = _integer_rows(matrix.rows)
+    pivots = _eliminate(m, swaps=False)
+    return len(pivots) == matrix.n and all(
+        (-1) ** (k + 1) * pivot > 0 for k, pivot in enumerate(pivots)
+    )
 
 
 @dataclass(frozen=True)
@@ -275,7 +243,7 @@ class InverseSignReport:
     """
 
     all_nonpositive: bool
-    offending_entries: tuple[tuple[int, int, Fraction], ...]
+    offending_entries: tuple[tuple[int, int, Fraction | int], ...]
     zero_entries: tuple[tuple[int, int], ...]
 
     @property

@@ -89,7 +89,7 @@ class OrderWitness:
 class SolutionWitness:
     """An exact solution vector with its offending entries."""
 
-    solution: tuple[Fraction, ...]
+    solution: tuple[Fraction | int, ...]
     offending: tuple[tuple[int, str], ...]
 
     def to_doc(self) -> dict:
@@ -194,11 +194,11 @@ def refined_valuative_obstruction(
 class ReturnsSystemResult:
     """Exact solution of the returns linear system, under both orientations."""
 
-    solution: tuple[Fraction, ...]
+    solution: tuple[Fraction | int, ...]
     verdict: ObstructionVerdict
     rhs: tuple[int, ...]
     printed_rhs: tuple[int, ...]
-    printed_solution: tuple[Fraction, ...]
+    printed_solution: tuple[Fraction | int, ...]
 
     def to_doc(self) -> dict:
         return {

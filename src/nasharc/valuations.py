@@ -33,15 +33,9 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
     point.  Integrality is forced by unimodularity of the lattice.
     """
     inv = cluster_matrix(cluster).inverse()
-    rows = []
-    for row in inv.rows:
-        out = []
-        for v in row:
-            if v.denominator != 1:
-                raise InternalInvariantError("cluster lattice inverse must be integral")
-            out.append(-v.numerator)
-        rows.append(tuple(out))
-    return tuple(rows)
+    if not inv.is_integral():
+        raise InternalInvariantError("cluster lattice inverse must be integral")
+    return tuple(tuple(-v for v in row) for row in inv.rows)
 
 
 def curvette_orders(cluster: BlowupCluster, e: int) -> tuple[int, ...]:
@@ -97,10 +91,9 @@ def _strict_transforms(cluster: BlowupCluster, g: Poly2, indices) -> dict[int, t
                 strict = parent_poly.subst_free(Fraction(0)).divide_power(0, parent_mult)
             else:  # pragma: no cover
                 raise InternalInvariantError(f"unknown chart kind {kind!r}")
-        mult = 0 if strict.is_zero() else strict.multiplicity()
         if strict.is_zero():
             raise InternalInvariantError("strict transform of a nonzero germ vanished")
-        out[i] = (strict, mult)
+        out[i] = (strict, strict.multiplicity())
     return out
 
 
@@ -234,10 +227,7 @@ def curvette_polynomial(cluster: BlowupCluster, i: int, max_tries: int = 8) -> P
             else:  # sat_y
                 x_t, y_t = x_t, x_t * y_t
         g = _eliminate_parameter(x_t, y_t)
-        try:
-            profile = tuple(ord_poly(sub, g, k) for k in range(sub.n))
-        except ValidationError:
-            raise
+        profile = tuple(ord_poly(sub, g, k) for k in range(sub.n))
         if profile == expect:
             return g
         last_error = InternalInvariantError(
@@ -270,7 +260,8 @@ def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
         rows.append([Poly2()] * shift + p + [Poly2()] * (dy - 1 - shift))
     for shift in range(dx):
         rows.append([Poly2()] * shift + q + [Poly2()] * (dx - 1 - shift))
-    assert all(len(r) == n for r in rows) and len(rows) == n
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InternalInvariantError("Sylvester matrix is not square")
 
     prev = Poly2.constant(1)
     sign = 1

@@ -131,6 +131,18 @@ def test_euler_bound_example(capsys):
     assert "cannot normalize to a disk" in out
 
 
+def test_euler_bound_structured(capsys):
+    argv = ("euler", "bound", "A2", "--coeffs", "1,1", "--attach", "0")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    printed = [int(line.split(":")[1].split()[0]) for line in text.splitlines()[:4]]
+    code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+    assert code == 0
+    bounds = json.loads(out)["bounds"]
+    assert [bounds[k] for k in ("b0", "balls", "tubes", "final")] == printed
+    assert all(type(v) is int for v in bounds.values())
+
+
 def test_euler_bound_guard(capsys):
     code, _, err = run_cli(capsys, "euler", "bound", "A2", "--coeffs", "0,1", "--attach", "0")
     assert code == 2

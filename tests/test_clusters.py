@@ -6,6 +6,7 @@ from nasharc import (
     INF,
     BlowupCluster,
     ClusterPoint,
+    InternalInvariantError,
     ValidationError,
     canonical_coeffs,
     closure_indices,
@@ -105,12 +106,16 @@ def test_canonical_coeffs():
             assert coeffs[i] == 1 + sum(coeffs[j] for j in cluster.proximities(i))
 
 
-def test_germ_touch_count():
+def test_germ_touch_count(monkeypatch):
     assert germ_touch_count(cluster_fixture("chain1"), 0) == 1
     assert germ_touch_count(cluster_fixture("chain3"), 2) == 3
     assert germ_touch_count(TWO_DIRECTIONS, 2) == 2
     with pytest.raises(ValidationError):
         germ_touch_count(SATELLITE, 2)
+    # the cross-check against the canonical coefficients survives python -O
+    monkeypatch.setattr("nasharc.clusters.canonical_coeffs", lambda cluster: (1, 1, 1))
+    with pytest.raises(InternalInvariantError):
+        germ_touch_count(cluster_fixture("chain3"), 2)
 
 
 def test_minimal_joint_model_examples():

@@ -2,16 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import det_cofactor, inverse_adjugate, quadratic_form_negative
+from helpers import det_cofactor, inverse_adjugate, quadratic_form_negative, solve_cramer
 
 from nasharc import (
     ExactMatrix,
     SingularMatrixError,
     ValidationError,
     check_inverse_nonpositive,
+    cluster_fixture,
     enumerate_proximity_structures,
     intersection_matrix,
     is_negative_definite,
+    proximity_matrix,
     simulate,
     standard_fixture,
 )
@@ -32,7 +34,10 @@ def test_determinant_small_cases():
 
 
 def test_determinant_matches_cofactor_oracle():
+    # the same random rational matrices, zero pivots included, also drive
+    # leading minors, solve and the definiteness test against cofactors
     rng = random.Random(11)
+    zero_pivots = definite = indefinite = 0
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [
@@ -40,7 +45,32 @@ def test_determinant_matches_cofactor_oracle():
             for _ in range(n)
         ]
         matrix = ExactMatrix.from_rows(rows)
-        assert matrix.determinant() == det_cofactor(rows)
+        det = det_cofactor(rows)
+        assert matrix.determinant() == det
+
+        minors = [det_cofactor([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+        assert list(matrix.leading_principal_minors()) == minors
+        zero_pivots += 0 in minors[:-1]
+
+        rhs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+        if det != 0:
+            assert list(matrix.solve(rhs)) == solve_cramer(matrix, rhs)
+        else:
+            with pytest.raises(SingularMatrixError):
+                matrix.solve(rhs)
+
+        # symmetric, with the diagonal pushed down at random so both verdicts occur
+        shift = rng.choice((0, 0, 8 * n))
+        sym_rows = [
+            [rows[min(i, j)][max(i, j)] - (shift if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        sym_minors = [det_cofactor([row[:k] for row in sym_rows[:k]]) for k in range(1, n + 1)]
+        expected = all((-1) ** k * m > 0 for k, m in enumerate(sym_minors, start=1))
+        assert is_negative_definite(ExactMatrix.from_rows(sym_rows)) == expected
+        definite += expected
+        indefinite += not expected
+    assert zero_pivots and definite and indefinite
 
 
 def test_inverse_examples():
@@ -81,6 +111,32 @@ def test_singular_raises():
         ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse()
     with pytest.raises(SingularMatrixError):
         ExactMatrix.from_rows([[0]]).solve([1])
+    rational = ExactMatrix.from_rows([["1/2", "1/3"], ["3/2", 1]])
+    assert rational.determinant() == 0
+    with pytest.raises(SingularMatrixError):
+        rational.inverse()
+    with pytest.raises(SingularMatrixError):
+        rational.solve([1, 0])
+
+
+def test_integral_entries_are_ints():
+    unimodular = intersection_matrix(simulate(cluster_fixture("twodir")))
+    P = proximity_matrix(cluster_fixture("chain3"))
+    for matrix in (
+        intersection_matrix(standard_fixture("E8")),
+        P,
+        ExactMatrix.identity(3),
+        ExactMatrix.from_rows([["4/2"]]),
+        P.transpose().mul(P),
+        unimodular.inverse(),
+        ExactMatrix.from_rows([[Fraction(1, 2), 0], [1, Fraction(-3, 4)]]).mul(
+            ExactMatrix.from_rows([[2, 0], [Fraction(8, 3), Fraction(-4, 3)]])
+        ),
+    ):
+        assert all(type(v) is int for row in matrix.rows for v in row), matrix
+    assert type(unimodular.determinant()) is int
+    assert all(type(v) is int for v in unimodular.solve([1, 0, 0]))
+    assert all(type(v) is int for v in A2.leading_principal_minors())
 
 
 def test_solve_matches_inverse():
