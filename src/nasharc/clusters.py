@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dual_graphs import DualGraph, GraphVertex
 from .errors import InternalInvariantError, ValidationError
@@ -70,6 +70,14 @@ class BlowupCluster:
 
     def geometry(self) -> "_Geometry":
         return self._geometry
+
+    def kept(self, build: Callable[["BlowupCluster"], object]):
+        """``build(self)``, computed once and kept on the immutable cluster as ``build.__name__``."""
+        value = self.__dict__.get(build.__name__)
+        if value is None:
+            value = build(self)
+            object.__setattr__(self, build.__name__, value)
+        return value
 
     def proximities(self, i: int) -> tuple[int, ...]:
         """Indices of the earlier centers whose components pass through point i."""

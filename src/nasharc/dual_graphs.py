@@ -242,17 +242,24 @@ def graph_from_json(text: str) -> DualGraph:
 
 
 def intersection_matrix(graph: DualGraph) -> ExactMatrix:
-    """Symmetric integer matrix: weights on the diagonal, edge counts off it."""
-    n = graph.n
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
-    rows = [[0] * n for _ in range(n)]
-    for i, v in enumerate(graph.vertices):
-        rows[i][i] = v.self_int
-    for a, b in graph.edges:
-        i, j = index[a], index[b]
-        rows[i][j] += 1
-        rows[j][i] += 1
-    return ExactMatrix.from_rows(rows)
+    """Symmetric integer matrix: weights on the diagonal, edge counts off it.
+
+    Built on the first call and kept on the graph; both are immutable.
+    """
+    matrix = graph.__dict__.get("_intersection_matrix")
+    if matrix is None:
+        n = graph.n
+        index = {v.id: i for i, v in enumerate(graph.vertices)}
+        rows = [[0] * n for _ in range(n)]
+        for i, v in enumerate(graph.vertices):
+            rows[i][i] = v.self_int
+        for a, b in graph.edges:
+            i, j = index[a], index[b]
+            rows[i][j] += 1
+            rows[j][i] += 1
+        matrix = ExactMatrix.from_rows(rows)
+        object.__setattr__(graph, "_intersection_matrix", matrix)
+    return matrix
 
 
 # -- the standard ADE fixture catalog ---------------------------------------

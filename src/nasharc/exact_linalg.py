@@ -18,7 +18,7 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, SingularMatrixError, ValidationError
-from .rationals import format_rational, parse_rational
+from .rationals import canonical_rational, format_rational, parse_rational
 
 
 def _coerce(value) -> Fraction | int:
@@ -27,7 +27,7 @@ def _coerce(value) -> Fraction | int:
     if isinstance(value, str):
         value = parse_rational(value)
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        return canonical_rational(value)
     raise ValidationError(f"matrix entries must be exact rationals, got {value!r}")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import CanonicalKey
-from .clusters import BlowupCluster, closure_indices, minimal_joint_model
+from .clusters import BlowupCluster, closure_indices
 from .errors import (
     KnowledgeBaseConflict,
     KnowledgeBaseError,
@@ -127,27 +127,27 @@ class ObstructionVerdict:
 def valuative_obstruction(cluster: BlowupCluster, e: int, f: int) -> ObstructionVerdict:
     """Test the adjacency of the Nash set of f into the Nash set of e.
 
-    Witness search runs over the curvettes of the minimal joint model: a
-    germ with a strictly smaller order along f than along e rules the
+    Witness search runs over the curvettes of the minimal joint model,
+    read off the cluster's curvette rows at the proximity closure of e and
+    f: a germ with a strictly smaller order along f than along e rules the
     inclusion out.  No witness exists exactly when the valuation of e is
     dominated by the valuation of f componentwise.
     """
     if e == f:
         raise ValidationError("the two components of an adjacency must differ")
     keep = closure_indices(cluster, e, f)
-    index = {old: new for new, old in enumerate(keep)}
-    rows = curvette_order_rows(minimal_joint_model(cluster, e, f))
-    row_e, row_f = rows[index[e]], rows[index[f]]
+    rows = curvette_order_rows(cluster)
+    row_e, row_f = rows[e], rows[f]
     adjacency = f"N_{f} in N_{e}"
-    for new_i, old_i in enumerate(keep):
-        if row_f[new_i] < row_e[new_i]:
-            witness = CurvetteWitness(old_i, row_f[new_i], row_e[new_i])
+    for i in keep:
+        if row_f[i] < row_e[i]:
+            witness = CurvetteWitness(i, row_f[i], row_e[i])
             return ObstructionVerdict(
                 ObstructionStatus.RULED_OUT,
                 adjacency,
                 witness,
-                f"curvette through point {old_i} has order {row_f[new_i]} along "
-                f"component {f} but {row_e[new_i]} along component {e}",
+                f"curvette through point {i} has order {row_f[i]} along "
+                f"component {f} but {row_e[i]} along component {e}",
             )
     return ObstructionVerdict(
         ObstructionStatus.NOT_RULED_OUT,

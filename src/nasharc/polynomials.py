@@ -4,7 +4,8 @@ These are the local equations fed to the order-of-vanishing computations:
 small polynomials in the two chart coordinates, transformed by the two
 blow-up chart substitutions and divided by exact exceptional powers.  No
 factorization is ever performed; multiplicities are read off as minimal
-total degrees.
+total degrees.  Coefficients are ``int`` where integral, ``Fraction`` only
+for a true quotient, so integer germs stay in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InternalInvariantError, ValidationError
-from .rationals import format_rational
+from .rationals import Rational, canonical_rational, format_rational
 
 Monomial = tuple[int, int]
 
@@ -24,8 +25,9 @@ class Poly2:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction | int] | None = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+    def __init__(self, terms: dict[Monomial, Rational] | None = None):
+        items = (terms or {}).items()
+        self.terms = {k: v if type(v) is int else canonical_rational(v) for k, v in items if v}
 
     # -- constructors --------------------------------------------------------
 
@@ -60,7 +62,7 @@ class Poly2:
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        out: dict[Monomial, Fraction | int] = {}
+        out: dict[Monomial, Rational] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
@@ -88,7 +90,7 @@ class Poly2:
         return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((k, Fraction(v)) for k, v in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- queries ---------------------------------------------------------------
 
@@ -116,9 +118,11 @@ class Poly2:
 
     # -- blow-up charts ---------------------------------------------------------
 
-    def subst_free(self, c) -> "Poly2":
+    def subst_free(self, c: Rational) -> "Poly2":
         """Total transform in the chart (x, y) -> (x, x*(y + c))."""
-        out: dict[Monomial, Fraction | int] = {}
+        if c == 0:
+            return Poly2({(a + b, b): coef for (a, b), coef in self.terms.items()})
+        out: dict[Monomial, Rational] = {}
         for (a, b), coef in self.terms.items():
             for k in range(b + 1):
                 key = (a + b, k)
@@ -133,19 +137,16 @@ class Poly2:
         """Exact division by x^m or y^m (var 0 or 1); exactness is a theorem."""
         if m == 0:
             return self
-        out = {}
-        for key, coef in self.terms.items():
-            if key[var] < m:
-                raise InternalInvariantError(
-                    "total transform is not divisible by the expected exceptional power"
-                )
-            new = (key[0] - m, key[1]) if var == 0 else (key[0], key[1] - m)
-            out[new] = coef
-        return Poly2(out)
+        if any(key[var] < m for key in self.terms):
+            raise InternalInvariantError(
+                "total transform is not divisible by the expected exceptional power"
+            )
+        da, db = (m, 0) if var == 0 else (0, m)
+        return Poly2({(a - da, b - db): c for (a, b), c in self.terms.items()})
 
     # -- exact multivariate division (used by the resultant) --------------------
 
-    def leading_term(self) -> tuple[Monomial, Fraction | int]:
+    def leading_term(self) -> tuple[Monomial, Rational]:
         key = max(self.terms)
         return key, self.terms[key]
 
@@ -154,14 +155,14 @@ class Poly2:
         if other.is_zero():
             raise ValidationError("division by the zero polynomial")
         rem = dict(self.terms)
-        quot: dict[Monomial, Fraction | int] = {}
+        quot: dict[Monomial, Rational] = {}
         (lo_a, lo_b), lead = other.leading_term()
         while rem:
             (a, b) = max(rem)
             if a < lo_a or b < lo_b:
                 raise InternalInvariantError("exact polynomial division left a remainder")
             qk = (a - lo_a, b - lo_b)
-            qc = Fraction(rem[(a, b)]) / Fraction(lead)
+            qc = canonical_rational(Fraction(rem[(a, b)], lead))
             quot[qk] = quot.get(qk, 0) + qc
             for (oa, ob), oc in other.terms.items():
                 key = (oa + qk[0], ob + qk[1])
@@ -227,7 +228,7 @@ def parse_poly(text: str) -> Poly2:
         idx += 1
         return tok
 
-    def parse_rational_token() -> Fraction:
+    def parse_rational_token() -> Rational:
         kind, value = take()
         if kind != "num":
             raise ValidationError(f"polynomial parse error: expected a number, got {value!r}")
@@ -240,8 +241,8 @@ def parse_poly(text: str) -> Poly2:
             den = int(value)
             if den == 0:
                 raise ValidationError("polynomial parse error: zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+            return canonical_rational(Fraction(num, den))
+        return num
 
     def parse_factor() -> Poly2:
         kind, value = peek()

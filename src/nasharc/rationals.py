@@ -50,6 +50,11 @@ def parse_rational(text: str | int) -> Fraction:
     raise ValidationError(f"expected a rational number, got {text!r}")
 
 
+def canonical_rational(value: Rational) -> Rational:
+    """The ``int`` for an integral value, the ``Fraction`` itself for a true quotient."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
+
+
 def format_rational(value: Rational) -> str:
     """Render exactly, as ``"p/q"`` or a plain integer string."""
     frac = Fraction(value)

@@ -12,17 +12,24 @@ the package's acceptance gates.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
-from .clusters import BlowupCluster, closure_indices, minimal_joint_model, simulate
+from .clusters import BlowupCluster, _check_index, closure_indices, simulate
 from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
+from .rationals import INF, Tangent, canonical_rational
 
 
 def cluster_matrix(cluster: BlowupCluster) -> ExactMatrix:
     return intersection_matrix(simulate(cluster))
+
+
+def _curvette_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
+    inv = cluster_matrix(cluster).inverse()
+    if not inv.is_integral():
+        raise InternalInvariantError("cluster lattice inverse must be integral")
+    return tuple(tuple(-v for v in row) for row in inv.rows)
 
 
 def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
@@ -30,77 +37,74 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
 
     Entry (e, i) is the order of vanishing along component e of a germ
     whose strict transform crosses component i transversely at a general
-    point.  Integrality is forced by unimodularity of the lattice.
+    point.  Integrality is forced by unimodularity of the lattice, which
+    is inverted once per cluster.
     """
-    inv = cluster_matrix(cluster).inverse()
-    if not inv.is_integral():
-        raise InternalInvariantError("cluster lattice inverse must be integral")
-    return tuple(tuple(-v for v in row) for row in inv.rows)
+    return cluster.kept(_curvette_rows)
 
 
 def curvette_orders(cluster: BlowupCluster, e: int) -> tuple[int, ...]:
     """Row e of the negated inverse intersection matrix."""
-    _check(cluster, e)
+    _check_index(cluster, e)
     return curvette_order_rows(cluster)[e]
-
-
-def _check(cluster: BlowupCluster, i: int):
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < cluster.n:
-        raise ValidationError(f"point index {i!r} out of range for a {cluster.n}-point cluster")
 
 
 # -- strict transforms along the chart chain ----------------------------------
 
 
-def _chart_parent(cluster: BlowupCluster, i: int) -> int:
-    return max(cluster.proximities(i))
+def _chart_plan(cluster: BlowupCluster) -> tuple[tuple[int, Tangent | None], ...]:
+    """Chart parent (the latest component through the point) and tangent per point.
+
+    Tangent c means the chart (x, y) -> (x, x*(y + c)) with exceptional
+    divisor x = 0, INF the chart (x, y) -> (x*y, y) with divisor y = 0,
+    None a free point without a tangent; satellites take c = 0 or INF.
+    """
+    geom = cluster.geometry()
+    plan: list[tuple[int, Tangent | None]] = [(0, None)]  # the origin has no chart
+    for i in range(1, cluster.n):
+        tangent = {"sat_y": 0, "sat_x": INF}.get(geom.kinds[i], cluster.points[i].tangent)
+        plan.append((max(geom.prox[i]), canonical_rational(tangent)))
+    return tuple(plan)
 
 
-def _strict_transforms(cluster: BlowupCluster, g: Poly2, indices) -> dict[int, tuple[Poly2, int]]:
-    """Strict transform and multiplicity of g at each requested center.
+def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
+    """Multiplicity of the strict transform of g at each of ``points``, 0 elsewhere.
 
-    Proceeds in creation order; each step substitutes the chart of the
-    latest component through the point and divides by the exceptional
-    power, which equals the multiplicity at the previous center.
+    ``points`` is sorted and closed under proximity.  Each chart step
+    divides by the exceptional power: the multiplicity at the chart parent.
     """
     if g.is_zero():
         raise ValidationError("the zero polynomial has no orders of vanishing")
-    geom = cluster.geometry()
-    wanted = set(indices)
-    needed = set(closure_indices(cluster, *wanted)) if wanted else set()
-    out: dict[int, tuple[Poly2, int]] = {}
-    for i in sorted(needed):
-        if i == 0:
-            strict = g
+    plan = cluster.kept(_chart_plan)
+    strict, mult = [g] * cluster.n, [g.multiplicity()] + [0] * (cluster.n - 1)
+    for i in points[1:]:
+        parent, tangent = plan[i]
+        if tangent is None:
+            raise ValidationError(
+                f"point {i} is free without a tangent parameter; "
+                f"orders of polynomials need explicit coordinates"
+            )
+        if tangent is INF:
+            strict[i] = strict[parent].subst_inf().divide_power(1, mult[parent])
         else:
-            kind = geom.kinds[i]
-            parent_poly, parent_mult = out[_chart_parent(cluster, i)]
-            if kind == "free":
-                c = cluster.points[i].tangent
-                if c is None:
-                    raise ValidationError(
-                        f"point {i} is free without a tangent parameter; "
-                        f"orders of polynomials need explicit coordinates"
-                    )
-                strict = parent_poly.subst_free(Fraction(c)).divide_power(0, parent_mult)
-            elif kind == "free_inf":
-                strict = parent_poly.subst_inf().divide_power(1, parent_mult)
-            elif kind == "sat_x":
-                strict = parent_poly.subst_inf().divide_power(1, parent_mult)
-            elif kind == "sat_y":
-                strict = parent_poly.subst_free(Fraction(0)).divide_power(0, parent_mult)
-            else:  # pragma: no cover
-                raise InternalInvariantError(f"unknown chart kind {kind!r}")
-        if strict.is_zero():
+            strict[i] = strict[parent].subst_free(tangent).divide_power(0, mult[parent])
+        if strict[i].is_zero():
             raise InternalInvariantError("strict transform of a nonzero germ vanished")
-        out[i] = (strict, strict.multiplicity())
-    return out
+        mult[i] = strict[i].multiplicity()
+    return mult
+
+
+def _orders(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
+    """Orders of g along ``points``: ord_i = m_i + the orders at the centers i is proximate to."""
+    orders = _multiplicities(cluster, g, points)
+    for i in points:
+        orders[i] += sum(orders[j] for j in cluster.proximities(i))
+    return orders
 
 
 def multiplicities(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
     """Multiplicity of the strict transform of g at every center."""
-    data = _strict_transforms(cluster, g, range(cluster.n))
-    return tuple(data[i][1] for i in range(cluster.n))
+    return tuple(_multiplicities(cluster, g, range(cluster.n)))
 
 
 def strict_transform_profile(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
@@ -110,39 +114,24 @@ def strict_transform_profile(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...
     total multiplicity m_i minus the multiplicities at the centers
     proximate to i; non-negativity is the proximity inequality.
     """
-    m = multiplicities(cluster, g)
-    t = []
-    for i in range(cluster.n):
-        drop = sum(m[j] for j in range(cluster.n) if i in cluster.proximities(j))
-        value = m[i] - drop
-        if value < 0:
-            raise InternalInvariantError("proximity inequality failed for a polynomial germ")
-        t.append(value)
+    m = _multiplicities(cluster, g, range(cluster.n))
+    t = list(m)
+    for j in range(cluster.n):
+        for i in cluster.proximities(j):
+            t[i] -= m[j]
+    if min(t) < 0:
+        raise InternalInvariantError("proximity inequality failed for a polynomial germ")
     return tuple(t)
 
 
 def ord_poly(cluster: BlowupCluster, g: Poly2, e: int) -> int:
-    """Order of vanishing of the germ along component e.
-
-    Total-transform recursion: the order at a center is the multiplicity
-    of the strict transform there plus the orders at all earlier centers
-    the point is proximate to.
-    """
-    _check(cluster, e)
-    data = _strict_transforms(cluster, g, (e,))
-    orders: dict[int, int] = {}
-    for i in sorted(data):
-        orders[i] = data[i][1] + sum(orders[j] for j in cluster.proximities(i))
-    return orders[e]
+    """Order of vanishing of the germ along component e."""
+    return _orders(cluster, g, closure_indices(cluster, e))[e]
 
 
 def ord_vector(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
     """Orders of vanishing along every component, sharing one chart traversal."""
-    data = _strict_transforms(cluster, g, range(cluster.n))
-    orders: list[int] = []
-    for i in range(cluster.n):
-        orders.append(data[i][1] + sum(orders[j] for j in cluster.proximities(i)))
-    return tuple(orders)
+    return tuple(_orders(cluster, g, range(cluster.n)))
 
 
 # -- comparison of valuations ---------------------------------------------------
@@ -158,20 +147,17 @@ class Comparison(enum.Enum):
 def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
     """Compare the valuations of components e and f componentwise.
 
-    Decided inside the minimal joint model: the valuation of e is at most
-    the valuation of f exactly when row e of the negated inverse matrix is
-    dominated by row f.  EQUAL only happens for identical indices.
+    Decided inside the minimal joint model, whose curvette rows are the
+    cluster's rows restricted to the proximity closure of e and f: the
+    valuation of e is at most the valuation of f exactly when row e is
+    dominated by row f there.  EQUAL only happens for identical indices.
     """
-    _check(cluster, e)
-    _check(cluster, f)
+    keep = closure_indices(cluster, e, f)
     if e == f:
         return Comparison.EQUAL
-    keep = closure_indices(cluster, e, f)
-    index = {old: new for new, old in enumerate(keep)}
-    rows = curvette_order_rows(minimal_joint_model(cluster, e, f))
-    row_e, row_f = rows[index[e]], rows[index[f]]
-    le = all(a <= b for a, b in zip(row_e, row_f))
-    ge = all(a >= b for a, b in zip(row_e, row_f))
+    rows = curvette_order_rows(cluster)
+    le = all(rows[e][i] <= rows[f][i] for i in keep)
+    ge = all(rows[e][i] >= rows[f][i] for i in keep)
     if le and ge:  # distinct rows of an invertible matrix cannot tie
         raise InternalInvariantError("distinct components produced identical order rows")
     if le:
@@ -190,44 +176,37 @@ def curvette_polynomial(cluster: BlowupCluster, i: int, max_tries: int = 8) -> P
     Built by parametrizing a general direction in the chart at center i,
     pushing the parametrization down the chart chain, and eliminating the
     parameter with an exact resultant.  The construction is self-checked:
-    the order profile of the result must be column i of the negated
-    inverse intersection matrix of the sub-cluster below i.
+    its orders along the proximity closure of i must be column i of the
+    cluster's curvette rows there.
     """
-    _check(cluster, i)
-    geom = cluster.geometry()
-    sub = minimal_joint_model(cluster, i, i)
-    keep = closure_indices(cluster, i, i)
-    expect = tuple(row[keep.index(i)] for row in curvette_order_rows(sub))
+    keep = closure_indices(cluster, i)
+    plan = cluster.kept(_chart_plan)
+    rows = curvette_order_rows(cluster)
+    expect = tuple(rows[k][i] for k in keep)
 
-    chain = []  # chart maps are applied from the deepest point outward
-    j = i
-    while j != 0:
-        chain.append(j)
-        j = _chart_parent(cluster, j)
-
-    taken = geom.forbidden_slopes(i)
-    candidates = (c for c in map(Fraction, range(1, 1 + 50)) if c not in taken)
+    taken = cluster.geometry().forbidden_slopes(i)
+    candidates = (c for c in range(1, 1 + 50) if c not in taken)
     last_error: Exception | None = None
     for _ in range(max_tries):
         slope = next(candidates)
         x_t = Poly2.monomial(1, 0)  # parameter t rides in the x slot
-        y_t = Poly2.monomial(1, 0).scale(slope)
-        for j in chain:
-            kind = geom.kinds[j]
-            if kind == "free":
-                c = cluster.points[j].tangent
-                if c is None:
-                    raise ValidationError(
-                        f"point {j} is free without a tangent parameter; "
-                        f"an explicit curvette equation needs coordinates"
-                    )
-                x_t, y_t = x_t, x_t * (y_t + Poly2.constant(Fraction(c)))
-            elif kind in ("free_inf", "sat_x"):
+        y_t = Poly2.monomial(1, 0, slope)
+        j = i
+        while j != 0:  # chart maps are applied from the deepest point outward
+            parent, tangent = plan[j]
+            if tangent is None:
+                raise ValidationError(
+                    f"point {j} is free without a tangent parameter; "
+                    f"an explicit curvette equation needs coordinates"
+                )
+            if tangent is INF:
                 x_t, y_t = x_t * y_t, y_t
-            else:  # sat_y
-                x_t, y_t = x_t, x_t * y_t
+            else:
+                x_t, y_t = x_t, x_t * (y_t + Poly2.constant(tangent))
+            j = parent
         g = _eliminate_parameter(x_t, y_t)
-        profile = tuple(ord_poly(sub, g, k) for k in range(sub.n))
+        orders = _orders(cluster, g, keep)
+        profile = tuple(orders[k] for k in keep)
         if profile == expect:
             return g
         last_error = InternalInvariantError(

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: cofactor
 expansion instead of Bareiss elimination, Cramer's rule instead of
-Gauss-Jordan, and a direct quadratic-form scan for definiteness.
+Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
+inversion per minimal joint model instead of the cluster's own curvette
+rows.
 """
 
 from __future__ import annotations
@@ -10,7 +12,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from nasharc import DualGraph, ExactMatrix
+from nasharc import (
+    Comparison,
+    CurvetteWitness,
+    DualGraph,
+    ExactMatrix,
+    ObstructionStatus,
+    closure_indices,
+    curvette_order_rows,
+    minimal_joint_model,
+)
 
 
 def det_cofactor(rows) -> Fraction:
@@ -110,3 +121,36 @@ def random_connected_negdef_tree(rng: random.Random, max_vertices: int = 8) -> D
     vertices = [(i, rng.randint(-5, -2)) for i in range(n)]
     edges = [(rng.randint(0, i - 1), i) for i in range(1, n)]
     return DualGraph.build(vertices, edges)
+
+
+def joint_model_rows(cluster, e: int, f: int):
+    """The proximity closure of e and f, and the curvette rows of e and f
+    obtained by inverting the lattice of their minimal joint model."""
+    keep = closure_indices(cluster, e, f)
+    index = {old: new for new, old in enumerate(keep)}
+    rows = curvette_order_rows(minimal_joint_model(cluster, e, f))
+    return keep, rows[index[e]], rows[index[f]]
+
+
+def compare_joint_model(cluster, e: int, f: int) -> Comparison:
+    """Componentwise comparison of valuations inside the minimal joint model."""
+    if e == f:
+        return Comparison.EQUAL
+    _, row_e, row_f = joint_model_rows(cluster, e, f)
+    le = all(a <= b for a, b in zip(row_e, row_f))
+    ge = all(a >= b for a, b in zip(row_e, row_f))
+    assert not (le and ge)
+    if le:
+        return Comparison.LESS_EQ
+    if ge:
+        return Comparison.GREATER_EQ
+    return Comparison.INCOMPARABLE
+
+
+def obstruction_joint_model(cluster, e: int, f: int):
+    """Status and first curvette witness for N_f in N_e, from the minimal joint model."""
+    keep, row_e, row_f = joint_model_rows(cluster, e, f)
+    for new_i, old_i in enumerate(keep):
+        if row_f[new_i] < row_e[new_i]:
+            return ObstructionStatus.RULED_OUT, CurvetteWitness(old_i, row_f[new_i], row_e[new_i])
+    return ObstructionStatus.NOT_RULED_OUT, None

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import solve_cramer
+from helpers import compare_joint_model, obstruction_joint_model, solve_cramer
 
 from nasharc import (
     Comparison,
@@ -211,6 +211,25 @@ def test_adjacency_table_partial_order():
             for g in range(cluster.n):
                 if (f, g) in kept and e != g:
                     assert (e, g) in kept  # transitivity
+
+
+def test_pair_verdicts_match_minimal_joint_model_oracle():
+    clusters = list(enumerate_proximity_structures(5))
+    clusters += [cluster_fixture(f"chain{n}") for n in range(3, 13)]
+    pairs = 0
+    for cluster in clusters:
+        table = adjacency_table(cluster)
+        for e in range(cluster.n):
+            for f in range(cluster.n):
+                assert compare(cluster, e, f) is compare_joint_model(cluster, e, f)
+                if e == f:
+                    continue
+                status, witness = obstruction_joint_model(cluster, e, f)
+                verdict = valuative_obstruction(cluster, e, f)
+                assert (verdict.status, verdict.witness) == (status, witness)
+                assert table[(e, f)] == verdict
+                pairs += 1
+    assert pairs > 2000
 
 
 def test_knowledge_base_roundtrip(tmp_path):

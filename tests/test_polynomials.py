@@ -85,3 +85,38 @@ def test_exact_division():
 def test_evaluate():
     poly = parse_poly("y^2 - x^3")
     assert poly.evaluate(Fraction(1), Fraction(2)) == 3
+
+
+def _coefficient_types(poly):
+    return {type(c) for c in poly.terms.values()}
+
+
+def test_integral_coefficients_are_ints():
+    cusp = parse_poly("y^2 - 3*x^3 + 4/2*x*y")
+    assert _coefficient_types(cusp) == {int}
+    assert cusp.terms[(1, 1)] == 2
+    for chart in (cusp.subst_free(0), cusp.subst_free(-2), cusp.subst_inf()):
+        assert _coefficient_types(chart) == {int}
+    assert _coefficient_types(cusp.subst_free(0).divide_power(0, 2)) == {int}
+    assert _coefficient_types(cusp.subst_inf().divide_power(1, 2)) == {int}
+    product = cusp * parse_poly("2*x - y")
+    assert _coefficient_types(product) == {int}
+    assert _coefficient_types(product.exact_div(parse_poly("2*x - y"))) == {int}
+    assert _coefficient_types(product.exact_div(cusp)) == {int}
+    # a rational tangent or quotient whose value is integral comes back as an int
+    assert _coefficient_types(parse_poly("y^2").subst_free(Fraction(1, 2)).scale(4)) == {int}
+    assert _coefficient_types(parse_poly("1/2*x") + parse_poly("1/2*x")) == {int}
+    # a true quotient stays a Fraction
+    assert parse_poly("2/3*x").terms == {(1, 0): Fraction(2, 3)}
+    assert _coefficient_types(parse_poly("2*x + 4*y").exact_div(parse_poly("4*x + 8*y"))) == {Fraction}
+    assert _coefficient_types(parse_poly("2/3*x")) == {Fraction}
+    assert _coefficient_types(parse_poly("y - 2/3*x^2").subst_free(Fraction(1, 2))) == {int, Fraction}
+
+
+def test_equal_polynomials_hash_equal():
+    as_int = Poly2({(1, 0): 2, (0, 2): -1})
+    as_fraction = Poly2({(1, 0): Fraction(2), (0, 2): Fraction(-1)})
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert hash(parse_poly("1/2*x - y")) == hash(Poly2({(1, 0): Fraction(1, 2), (0, 1): -1}))
+    assert len({as_int, as_fraction, parse_poly("2*x - y^2")}) == 1

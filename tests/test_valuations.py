@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 import pytest
 from helpers import inverse_adjugate
@@ -8,6 +8,7 @@ from nasharc import (
     INF,
     BlowupCluster,
     Comparison,
+    Poly2,
     ValidationError,
     cluster_fixture,
     cluster_matrix,
@@ -22,12 +23,22 @@ from nasharc import (
     parse_poly,
     strict_transform_profile,
 )
+from nasharc.valuations import ord_vector
 
 CHAIN2 = cluster_fixture("chain2")
 SATELLITE = cluster_fixture("satellite3")
 TWO_DIRECTIONS = cluster_fixture("twodir")
 
 TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
+RATIONAL_POOL = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), INF)
+RATIONAL_GERMS = (
+    "y^2 - 2/3*x^3",
+    "y - 1/2*x",
+    "3*y + 2*x",
+    "3/2*y^2 - x^5 + 1/3*x*y",
+    "y^3 - 2/3*x^2*y + 5/7*x^4",
+    "x^2 - 4*y^3",
+)
 
 
 def sample_family():
@@ -169,3 +180,93 @@ def test_curvette_polynomial_needs_tangents():
     bare = BlowupCluster.from_specs([(None,), (0,)])
     with pytest.raises(ValidationError):
         curvette_polynomial(bare, 1)
+
+
+def test_rational_tangents_and_germs_agree_with_lattice_route():
+    germs = [parse_poly(text) for text in RATIONAL_GERMS]
+    clusters = 0
+    for structure in enumerate_proximity_structures(4):
+        for cluster in enumerate_tangent_assignments(structure, RATIONAL_POOL):
+            n = cluster.n
+            rows = curvette_order_rows(cluster)
+            orders = []
+            for g in germs:
+                profile = strict_transform_profile(cluster, g)
+                ords = ord_vector(cluster, g)
+                assert ords == tuple(sum(rows[e][i] * profile[i] for i in range(n)) for e in range(n))
+                assert ords[-1] == ord_poly(cluster, g, n - 1)
+                orders.append(ords)
+            for a in range(len(germs)):
+                for b in range(a, len(germs)):
+                    product = ord_vector(cluster, germs[a] * germs[b])
+                    assert product == tuple(p + q for p, q in zip(orders[a], orders[b]))
+            clusters += 1
+    assert clusters > 200
+
+
+def test_integral_tangents_stay_in_integer_arithmetic(monkeypatch):
+    seen = set()
+    subst_free = Poly2.subst_free
+
+    def spy(poly, c):
+        seen.add(type(c))
+        seen.update(type(v) for v in poly.terms.values())
+        return subst_free(poly, c)
+
+    monkeypatch.setattr(Poly2, "subst_free", spy)
+    for structure in enumerate_proximity_structures(4):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            for g in sample_family():
+                ord_vector(cluster, g)
+    assert seen == {int}
+
+
+def _curvette_supported(cluster, i):
+    """False when a free point lies beyond a tangent-inf or satellite chart
+    on the chart chain of i; curvette_polynomial does not handle those yet."""
+    kinds = cluster.geometry().kinds
+    deeper_free = False
+    while i != 0:
+        if kinds[i] == "free":
+            deeper_free = True
+        elif deeper_free:
+            return False
+        i = max(cluster.proximities(i))
+    return True
+
+
+def test_curvette_polynomial_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+
+    def rational(value):
+        value = Fraction(value)
+        return sympy.Rational(value.numerator, value.denominator)
+
+    checked = 0
+    for structure in enumerate_proximity_structures(3):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            geom = cluster.geometry()
+            for i in range(cluster.n):
+                if not _curvette_supported(cluster, i):
+                    continue
+                g = curvette_polynomial(cluster, i)
+                # the first slope the construction tries, pushed down the charts
+                slope = next(s for s in count(1) if s not in geom.forbidden_slopes(i))
+                X, Y = t, slope * t
+                j = i
+                while j != 0:
+                    kind = geom.kinds[j]
+                    if kind == "free":
+                        X, Y = X, X * (Y + rational(cluster.points[j].tangent))
+                    elif kind == "sat_y":
+                        X, Y = X, X * Y
+                    else:
+                        X, Y = X * Y, Y
+                    j = max(cluster.proximities(j))
+                resultant = sympy.resultant(x - X, y - Y, t)
+                ours = sum(rational(c) * x**a * y**b for (a, b), c in g.terms.items())
+                ratio = sympy.cancel(resultant / ours)
+                assert ratio.is_number and ratio != 0, (cluster, i, g, resultant)
+                checked += 1
+    assert checked > 50
