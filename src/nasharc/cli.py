@@ -4,9 +4,12 @@ Subcommands: ``graph check``, ``cluster build``, ``val compare``,
 ``val ord``, ``adj obstruct``, ``adj table``, ``euler bound``,
 ``dfd check``, ``pair canon``.  Every command accepts
 ``--format text|structured``; structured output is a single JSON document
-that parses back to the in-memory report.  Reports echo the exact
+that parses back to the in-memory report.  Each command computes and
+words only its own result; one skeleton (``_report``) stamps the schema and
+the command, adds the lattice block and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
-downstream.
+downstream; for a cluster the inverse is minus the curvette rows the
+cluster keeps, so no request inverts its lattice twice.
 
 Exit codes: 0 analysis completed (the verdict lives inside the report),
 2 input or validation error, 3 internal invariant violation.
@@ -40,22 +43,9 @@ from .dual_graphs import (
     standard_fixture,
     validate_graph_doc,
 )
-from .errors import (
-    InternalInvariantError,
-    KnowledgeBaseError,
-    NashArcError,
-    SingularMatrixError,
-    ValidationError,
-)
-from .euler_bounds import (
-    EulerInput,
-    b0_bound,
-    balls_bound,
-    contradiction_certificate,
-    final_bound,
-    tubes_bound,
-)
-from .exact_linalg import ExactMatrix, check_inverse_nonpositive, is_negative_definite
+from .errors import InternalInvariantError, NashArcError, ValidationError
+from .euler_bounds import EulerInput, b0_bound, balls_bound, contradiction_certificate, tubes_bound
+from .exact_linalg import ExactMatrix, _inverse_sign_report, is_negative_definite
 from .lifting import WedgeNumericalModel, lifting_verdict, solve_b, verify_numerical
 from .obstructions import (
     KnowledgeBase,
@@ -135,26 +125,42 @@ def _parse_vertex_id(text: str):
         return text
 
 
-def _matrix_block(M: ExactMatrix, inverse: ExactMatrix | None) -> dict:
-    return {
-        "M": M.to_doc(),
-        "M_inverse": None if inverse is None else inverse.to_doc(),
-    }
+def _matrix_lines(title: str, M: ExactMatrix) -> list[str]:
+    return [f"{title}:"] + ["  [" + "  ".join(map(format_rational, row)) + "]" for row in M.rows]
 
 
-def _emit(report: dict, lines: list[str], fmt: str):
-    if fmt == "structured":
+def _lattice_lines(M: ExactMatrix, inverse: ExactMatrix | None) -> list[str]:
+    lines = _matrix_lines("intersection matrix M", M)
+    if inverse is not None:
+        lines += _matrix_lines("inverse M^-1", inverse)
+    return lines
+
+
+def _cluster_lattice(cluster: BlowupCluster) -> tuple[ExactMatrix, ExactMatrix]:
+    """M and M^-1, the inverse read off the curvette rows the cluster keeps."""
+    return cluster_matrix(cluster), ExactMatrix(curvette_order_rows(cluster)).neg()
+
+
+def _report(args, fields: dict, lines: list[str], M=None, inverse=None) -> int:
+    """Print one report, as text lines or as a JSON document; the exit code is 0."""
+    report = {"schema": REPORT_SCHEMA, "command": f"{args.group} {args.action}", **fields}
+    if M is not None:
+        report["matrices"] = {
+            "M": M.to_doc(),
+            "M_inverse": None if inverse is None else inverse.to_doc(),
+        }
+    if args.format == "structured":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print(*lines, sep="\n")
+    return 0
 
 
-def _matrix_lines(title: str, M: ExactMatrix) -> list[str]:
-    out = [f"{title}:"]
-    for row in M.rows:
-        out.append("  [" + "  ".join(format_rational(v) for v in row) + "]")
-    return out
+def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list[str]):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(graph.to_dot())
+    lines.append(f"DOT export written to {path}")
+    fields["dot_path"] = path
 
 
 # -- command implementations ----------------------------------------------------
@@ -165,19 +171,17 @@ def _cmd_graph_check(args) -> int:
     M = intersection_matrix(graph)
     neg_def = is_negative_definite(M)
     det = M.determinant()
-    inverse = None
-    sign_doc = None
+    inverse = sign = None
     lines = [
         f"graph: {graph.n} vertices, {len(graph.edges)} edges, "
         f"{'connected' if graph.is_connected() else 'disconnected'}",
+        *_matrix_lines("intersection matrix M", M),
+        f"negative definite: {'yes' if neg_def else 'no'}",
+        f"det(M) = {format_rational(det)}",
     ]
-    lines += _matrix_lines("intersection matrix M", M)
-    lines.append(f"negative definite: {'yes' if neg_def else 'no'}")
-    lines.append(f"det(M) = {format_rational(det)}")
     if det != 0:
         inverse = M.inverse()
-        sign = check_inverse_nonpositive(M)
-        sign_doc = sign.to_doc()
+        sign = _inverse_sign_report(inverse)
         lines += _matrix_lines("inverse M^-1", inverse)
         if sign.strictly_negative:
             lines.append("inverse sign: all entries strictly negative")
@@ -187,176 +191,114 @@ def _cmd_graph_check(args) -> int:
             lines.append(f"inverse sign: {len(sign.offending_entries)} positive entries")
     else:
         lines.append("matrix is singular; no inverse")
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "graph check",
+    fields = {
         "graph": graph.to_doc(),
         "connected": graph.is_connected(),
         "negative_definite": neg_def,
         "determinant": format_rational(det),
-        "matrices": _matrix_block(M, inverse),
-        "inverse_sign": sign_doc,
+        "inverse_sign": None if sign is None else sign.to_doc(),
     }
     if args.export_dot:
-        with open(args.export_dot, "w", encoding="utf-8") as handle:
-            handle.write(graph.to_dot())
-        lines.append(f"DOT export written to {args.export_dot}")
-        report["dot_path"] = args.export_dot
-    _emit(report, lines, args.format)
-    return 0
+        _write_dot(graph, args.export_dot, fields, lines)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_cluster_build(args) -> int:
     cluster = load_cluster_input(args.input)
     graph = simulate(cluster)
-    M = intersection_matrix(graph)
+    M, inverse = _cluster_lattice(cluster)
     P = proximity_matrix(cluster)
-    cross = intersection_from_proximity(P)
-    if cross.rows != M.rows:
-        raise InternalInvariantError(
-            "simulated intersection matrix disagrees with -P^t P"
-        )
+    if intersection_from_proximity(P).rows != M.rows:
+        raise InternalInvariantError("simulated intersection matrix disagrees with -P^t P")
     coeffs = canonical_coeffs(cluster)
-    inverse = M.inverse()
-    lines = [f"cluster: {cluster.n} points"]
-    lines += _matrix_lines("proximity matrix P", P)
-    lines += _matrix_lines("intersection matrix M (= -P^t P, cross-checked)", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    lines.append(f"det(M) = {format_rational(M.determinant())}")
-    lines.append("canonical coefficients: (" + ", ".join(map(str, coeffs)) + ")")
-    lines.append("dual graph: " + ", ".join(
-        f"{v.id}:{v.self_int}" for v in graph.vertices
-    ) + " | edges " + ", ".join(f"{a}-{b}" for a, b in graph.edges))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "cluster build",
+    det = format_rational(M.determinant())
+    lines = [
+        f"cluster: {cluster.n} points",
+        *_matrix_lines("proximity matrix P", P),
+        *_matrix_lines("intersection matrix M (= -P^t P, cross-checked)", M),
+        *_matrix_lines("inverse M^-1", inverse),
+        f"det(M) = {det}",
+        "canonical coefficients: (" + ", ".join(map(str, coeffs)) + ")",
+        "dual graph: " + ", ".join(f"{v.id}:{v.self_int}" for v in graph.vertices)
+        + " | edges " + ", ".join(f"{a}-{b}" for a, b in graph.edges),
+    ]
+    fields = {
         "cluster": cluster.to_doc(),
         "graph": graph.to_doc(),
         "proximity_matrix": P.to_doc(),
-        "matrices": _matrix_block(M, inverse),
-        "determinant": format_rational(M.determinant()),
+        "determinant": det,
         "canonical_coefficients": list(coeffs),
     }
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph.to_dot())
-        lines.append(f"DOT export written to {args.dot}")
-        report["dot_path"] = args.dot
-    _emit(report, lines, args.format)
-    return 0
+        _write_dot(graph, args.dot, fields, lines)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_val_compare(args) -> int:
     cluster = load_cluster_input(args.input)
     result = compare(cluster, args.e, args.f)
-    M = intersection_matrix(simulate(cluster))
-    inverse = M.inverse()
+    M, inverse = _cluster_lattice(cluster)
     rows = curvette_order_rows(cluster)
     lines = [
         f"compare components {args.e} and {args.f}: {result.value}",
         f"order row of {args.e}: {rows[args.e]}",
         f"order row of {args.f}: {rows[args.f]}",
     ]
-    lines += _matrix_lines("intersection matrix M", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "val compare",
+    fields = {
         "e": args.e,
         "f": args.f,
         "comparison": result.value,
         "order_rows": {str(args.e): list(rows[args.e]), str(args.f): list(rows[args.f])},
-        "matrices": _matrix_block(M, inverse),
     }
-    _emit(report, lines, args.format)
-    return 0
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 def _cmd_val_ord(args) -> int:
     cluster = load_cluster_input(args.input)
     poly = parse_poly(args.poly)
     value = ord_poly(cluster, poly, args.e)
-    M = intersection_matrix(simulate(cluster))
-    inverse = M.inverse()
-    lines = [
-        f"ord of {poly} along component {args.e}: {value}",
-    ]
-    lines += _matrix_lines("intersection matrix M", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "val ord",
-        "e": args.e,
-        "polynomial": str(poly),
-        "ord": value,
-        "matrices": _matrix_block(M, inverse),
-    }
-    _emit(report, lines, args.format)
-    return 0
+    M, inverse = _cluster_lattice(cluster)
+    lines = [f"ord of {poly} along component {args.e}: {value}"]
+    fields = {"e": args.e, "polynomial": str(poly), "ord": value}
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 def _cmd_adj_obstruct(args) -> int:
     cluster = load_cluster_input(args.input)
     verdict = valuative_obstruction(cluster, args.e, args.f)
-    M = intersection_matrix(simulate(cluster))
-    inverse = M.inverse()
+    M, inverse = _cluster_lattice(cluster)
     lines = [
         f"adjacency {verdict.adjacency}: {verdict.status.value}",
         f"  {verdict.detail}",
     ]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "adj obstruct",
-        "e": args.e,
-        "f": args.f,
-        "valuative": verdict.to_doc(),
-        "matrices": _matrix_block(M, inverse),
-    }
+    fields = {"e": args.e, "f": args.f, "valuative": verdict.to_doc()}
     if args.returns is not None:
         b = _parse_int_csv(args.returns, "returns")
         special = args.special if args.special is not None else args.f
         result = returns_system(M, b, special, require_no_lift=not args.allow_lift)
-        lines.append(
-            f"returns system (b = {b}, special = {special}): {result.verdict.status.value}"
-        )
-        lines.append(
-            "  solution a = (" + ", ".join(format_rational(v) for v in result.solution) + ")"
-        )
-        lines.append(f"  {result.verdict.detail}")
-        lines.append(
+        lines += [
+            f"returns system (b = {b}, special = {special}): {result.verdict.status.value}",
+            "  solution a = (" + ", ".join(format_rational(v) for v in result.solution) + ")",
+            f"  {result.verdict.detail}",
             "  printed-orientation solution = ("
             + ", ".join(format_rational(v) for v in result.printed_solution)
-            + ")"
-        )
-        report["returns_system"] = result.to_doc()
-        report["returns_special"] = special
-    lines += _matrix_lines("intersection matrix M", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    _emit(report, lines, args.format)
-    return 0
+            + ")",
+        ]
+        fields["returns_system"] = result.to_doc()
+        fields["returns_special"] = special
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 def _cmd_adj_table(args) -> int:
     cluster = load_cluster_input(args.input)
-    table = adjacency_table(cluster)
-    M = intersection_matrix(simulate(cluster))
-    inverse = M.inverse()
+    table = sorted(adjacency_table(cluster).items())
+    M, inverse = _cluster_lattice(cluster)
     lines = [f"adjacency table over {cluster.n} components (row f into column e):"]
-    for (e, f), verdict in sorted(table.items()):
+    for (e, f), verdict in table:
         mark = "ruled out" if verdict.ruled_out else "not ruled out"
         lines.append(f"  N_{f} in N_{e}: {mark}")
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "adj table",
-        "verdicts": [
-            {"e": e, "f": f, **verdict.to_doc()} for (e, f), verdict in sorted(table.items())
-        ],
-        "matrices": _matrix_block(M, inverse),
-    }
-    lines += _matrix_lines("intersection matrix M", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    _emit(report, lines, args.format)
-    return 0
+    fields = {"verdicts": [{"e": e, "f": f, **verdict.to_doc()} for (e, f), verdict in table]}
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 def _cmd_euler_bound(args) -> int:
@@ -368,7 +310,7 @@ def _cmd_euler_bound(args) -> int:
         "b0": b0_bound(data),
         "balls": balls_bound(data),
         "tubes": tubes_bound(data),
-        "final": final_bound(data),
+        "final": cert.bound,
     }
     M = intersection_matrix(graph)
     inverse = M.inverse() if M.determinant() != 0 else None
@@ -388,18 +330,8 @@ def _cmd_euler_bound(args) -> int:
         lines.append("certificate: a nearby member cannot normalize to a disk (bound < 1)")
     else:
         lines.append("no contradiction: bound does not exclude a disk")
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "euler bound",
-        "bounds": parts,
-        "certificate": cert.to_doc(),
-        "matrices": _matrix_block(M, inverse),
-    }
-    lines += _matrix_lines("intersection matrix M", M)
-    if inverse is not None:
-        lines += _matrix_lines("inverse M^-1", inverse)
-    _emit(report, lines, args.format)
-    return 0
+    fields = {"bounds": parts, "certificate": cert.to_doc()}
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 WEDGE_SCHEMA = "wedgemodel/1"
@@ -407,6 +339,8 @@ WEDGE_SCHEMA = "wedgemodel/1"
 
 def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     if doc.get("schema") != WEDGE_SCHEMA:
         raise ValidationError(f"{path}: schema: expected {WEDGE_SCHEMA!r}, got {doc.get('schema')!r}")
     cluster_field = doc.get("cluster")
@@ -419,9 +353,11 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
     for field in ("special", "c", "d"):
         if field not in doc:
             raise ValidationError(f"{path}: missing field {field!r}")
+    for field in ("c", "d", "coeffs", "b"):
+        value = doc.get(field)
+        if not isinstance(value, list) and (field in ("c", "d") or value is not None):
+            raise ValidationError(f"{path}: {field}: expected a list")
     b = doc.get("b")
-    if b is not None:
-        b = tuple(parse_rational(v) for v in b)
     coeffs = doc.get("coeffs")
     return WedgeNumericalModel(
         cluster=cluster,
@@ -429,7 +365,7 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
         c=tuple(doc["c"]),
         d=tuple(doc["d"]),
         coeffs=None if coeffs is None else tuple(coeffs),
-        b=b,
+        b=None if b is None else tuple(parse_rational(v) for v in b),
         minimal_target=bool(doc.get("minimal_target", False)) or args.minimal_target,
         assert_b1_lt_1=bool(doc.get("assert_b1_lt_1", False)) or args.assert_b1_lt_1,
         assert_no_lift=bool(doc.get("assert_no_lift", False)) or args.assert_no_lift,
@@ -438,25 +374,18 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
 
 def _cmd_dfd_check(args) -> int:
     model = _load_wedge_model(args.input, args)
-    M = cluster_matrix(model.cluster)
-    inverse = M.inverse()
+    M, inverse = _cluster_lattice(model.cluster)
     b = solve_b(model)
     lines = [
         "canonical coefficients a = (" + ", ".join(map(str, model.a)) + ")",
         "solved b = (" + ", ".join(format_rational(v) for v in b) + ")",
     ]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "dfd check",
-        "a": list(model.a),
-        "b_solved": [format_rational(v) for v in b],
-        "matrices": _matrix_block(M, inverse),
-    }
+    fields = {"a": list(model.a), "b_solved": [format_rational(v) for v in b]}
     if model.b is not None:
         ok = verify_numerical(model)
         lines.append(f"supplied b verifies the identity: {'yes' if ok else 'no'}")
-        report["b_supplied"] = [format_rational(v) for v in model.b]
-        report["identity_holds"] = ok
+        fields["b_supplied"] = [format_rational(v) for v in model.b]
+        fields["identity_holds"] = ok
     if model.minimal_target:
         verdict = lifting_verdict(model)
         lines.append(
@@ -464,14 +393,13 @@ def _cmd_dfd_check(args) -> int:
             + (" (CONTRADICTION)" if verdict.contradiction else "")
             + f": {verdict.reason}"
         )
-        report["lifting"] = verdict.to_doc()
-    lines += _matrix_lines("intersection matrix M", M)
-    lines += _matrix_lines("inverse M^-1", inverse)
-    _emit(report, lines, args.format)
-    return 0
+        fields["lifting"] = verdict.to_doc()
+    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
 
 
 def _cmd_pair_canon(args) -> int:
+    if args.store and not args.kb:
+        raise ValidationError("--store needs --kb, the verdict store to record into")
     cluster = load_cluster_input(args.input)
     graph = pair_graph(cluster, args.e, args.f)
     key = canonical_key(graph)
@@ -484,9 +412,7 @@ def _cmd_pair_canon(args) -> int:
         f"canonical key: {key.as_text()}",
         f"key digest: {key.digest_hex()}",
     ]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "pair canon",
+    fields = {
         "e": args.e,
         "f": args.f,
         "pair_graph": graph.to_doc(),
@@ -496,35 +422,24 @@ def _cmd_pair_canon(args) -> int:
     if args.kb:
         kb = KnowledgeBase(args.kb)
         if args.store:
-            status = ObstructionStatus(args.store)
-            record = kb.store(key, status, args.provenance or "")
+            record = kb.store(key, ObstructionStatus(args.store), args.provenance or "")
             lines.append(f"stored verdict {record.status.value} in {args.kb}")
-            report["kb"] = {"action": "store", **record.to_doc()}
+            fields["kb"] = {"action": "store", **record.to_doc()}
         else:
             record = kb.lookup(key)
             if record is None:
                 lines.append(f"knowledge base {args.kb}: miss")
-                report["kb"] = {"action": "lookup", "hit": False}
+                fields["kb"] = {"action": "lookup", "hit": False}
             else:
                 lines.append(
                     f"knowledge base {args.kb}: hit, verdict {record.status.value}"
                     + (f" ({record.provenance})" if record.provenance else "")
                 )
-                report["kb"] = {"action": "lookup", "hit": True, **record.to_doc()}
-    _emit(report, lines, args.format)
-    return 0
+                fields["kb"] = {"action": "lookup", "hit": True, **record.to_doc()}
+    return _report(args, fields, lines)
 
 
 # -- parser -----------------------------------------------------------------------
-
-
-def _add_format(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report as human-readable text or a JSON document",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,79 +449,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     groups = parser.add_subparsers(dest="group", required=True)
+    actions = {
+        group: groups.add_parser(group, help=text).add_subparsers(dest="action", required=True)
+        for group, text in (
+            ("graph", "dual-graph lattice analysis"),
+            ("cluster", "blow-up cluster analysis"),
+            ("val", "divisorial valuations"),
+            ("adj", "adjacency obstructions"),
+            ("euler", "Euler-characteristic bounds"),
+            ("dfd", "relative-canonical lifting bookkeeping"),
+            ("pair", "canonical pair graphs and the verdict store"),
+        )
+    }
 
-    graph = groups.add_parser("graph", help="dual-graph lattice analysis")
-    graph_actions = graph.add_subparsers(dest="action", required=True)
-    check = graph_actions.add_parser("check", help="validate and analyze a dual graph")
-    check.add_argument("input", help="graph document path or fixture name (e.g. fixtures/E8)")
-    check.add_argument("--export-dot", metavar="PATH", help="also write a DOT rendering")
-    _add_format(check)
-    check.set_defaults(func=_cmd_graph_check)
+    def command(group, action, func, text, input_help=None, ints=()):
+        """One subcommand: its input, the integer positionals ``ints`` and --format."""
+        sub = actions[group].add_parser(action, help=text)
+        sub.add_argument("input", help=input_help)
+        for name in ints:
+            sub.add_argument(name, type=int)
+        sub.add_argument(
+            "--format",
+            choices=("text", "structured"),
+            default="text",
+            help="report as human-readable text or a JSON document",
+        )
+        sub.set_defaults(func=func)
+        return sub
 
-    cluster = groups.add_parser("cluster", help="blow-up cluster analysis")
-    cluster_actions = cluster.add_subparsers(dest="action", required=True)
-    build = cluster_actions.add_parser("build", help="simulate a cluster and cross-check lattices")
-    build.add_argument("input", help="cluster document path or fixture name (e.g. chain2)")
-    build.add_argument("--dot", metavar="PATH", help="write the dual graph in DOT format")
-    _add_format(build)
-    build.set_defaults(func=_cmd_cluster_build)
+    command(
+        "graph", "check", _cmd_graph_check, "validate and analyze a dual graph",
+        "graph document path or fixture name (e.g. fixtures/E8)",
+    ).add_argument("--export-dot", metavar="PATH", help="also write a DOT rendering")
 
-    val = groups.add_parser("val", help="divisorial valuations")
-    val_actions = val.add_subparsers(dest="action", required=True)
-    vc = val_actions.add_parser("compare", help="compare two components' valuations")
-    vc.add_argument("input")
-    vc.add_argument("e", type=int)
-    vc.add_argument("f", type=int)
-    _add_format(vc)
-    vc.set_defaults(func=_cmd_val_compare)
-    vo = val_actions.add_parser("ord", help="order of vanishing of a polynomial germ")
-    vo.add_argument("input")
-    vo.add_argument("e", type=int)
-    vo.add_argument("--poly", required=True, help="germ, e.g. 'y - 1/2*x^2'")
-    _add_format(vo)
-    vo.set_defaults(func=_cmd_val_ord)
+    command(
+        "cluster", "build", _cmd_cluster_build, "simulate a cluster and cross-check lattices",
+        "cluster document path or fixture name (e.g. chain2)",
+    ).add_argument("--dot", metavar="PATH", help="write the dual graph in DOT format")
 
-    adj = groups.add_parser("adj", help="adjacency obstructions")
-    adj_actions = adj.add_subparsers(dest="action", required=True)
-    ao = adj_actions.add_parser("obstruct", help="test the adjacency N_f in N_e")
-    ao.add_argument("input")
-    ao.add_argument("e", type=int)
-    ao.add_argument("f", type=int)
+    pair = ("e", "f")
+    command("val", "compare", _cmd_val_compare, "compare two components' valuations", ints=pair)
+    command(
+        "val", "ord", _cmd_val_ord, "order of vanishing of a polynomial germ", ints=("e",)
+    ).add_argument("--poly", required=True, help="germ, e.g. 'y - 1/2*x^2'")
+
+    ao = command("adj", "obstruct", _cmd_adj_obstruct, "test the adjacency N_f in N_e", ints=pair)
     ao.add_argument("--returns", metavar="CSV", help="return counts b_0,...,b_r")
     ao.add_argument("--special", type=int, help="special component for the returns system (default f)")
     ao.add_argument("--allow-lift", action="store_true", help="do not require indeterminacy")
-    _add_format(ao)
-    ao.set_defaults(func=_cmd_adj_obstruct)
-    at = adj_actions.add_parser("table", help="verdicts for all ordered pairs")
-    at.add_argument("input")
-    _add_format(at)
-    at.set_defaults(func=_cmd_adj_table)
+    command("adj", "table", _cmd_adj_table, "verdicts for all ordered pairs")
 
-    euler = groups.add_parser("euler", help="Euler-characteristic bounds")
-    euler_actions = euler.add_subparsers(dest="action", required=True)
-    eb = euler_actions.add_parser("bound", help="partial bounds, final bound and certificate")
-    eb.add_argument("input", help="graph document path or fixture name")
+    eb = command(
+        "euler", "bound", _cmd_euler_bound, "partial bounds, final bound and certificate",
+        "graph document path or fixture name",
+    )
     eb.add_argument("--coeffs", required=True, metavar="CSV", help="limit-divisor coefficients")
     eb.add_argument("--attach", required=True, help="id of the attachment vertex")
-    _add_format(eb)
-    eb.set_defaults(func=_cmd_euler_bound)
 
-    dfd = groups.add_parser("dfd", help="relative-canonical lifting bookkeeping")
-    dfd_actions = dfd.add_subparsers(dest="action", required=True)
-    dc = dfd_actions.add_parser("check", help="solve and audit the numerical identity")
-    dc.add_argument("input", help="wedge model document path")
-    dc.add_argument("--minimal-target", action="store_true")
-    dc.add_argument("--assert-b1-lt-1", action="store_true")
-    dc.add_argument("--assert-no-lift", action="store_true")
-    _add_format(dc)
-    dc.set_defaults(func=_cmd_dfd_check)
+    dc = command(
+        "dfd", "check", _cmd_dfd_check, "solve and audit the numerical identity",
+        "wedge model document path",
+    )
+    for flag in ("--minimal-target", "--assert-b1-lt-1", "--assert-no-lift"):
+        dc.add_argument(flag, action="store_true")
 
-    pair = groups.add_parser("pair", help="canonical pair graphs and the verdict store")
-    pair_actions = pair.add_subparsers(dest="action", required=True)
-    pc = pair_actions.add_parser("canon", help="canonical key of a labeled pair graph")
-    pc.add_argument("input")
-    pc.add_argument("e", type=int)
-    pc.add_argument("f", type=int)
+    pc = command(
+        "pair", "canon", _cmd_pair_canon, "canonical key of a labeled pair graph", ints=pair
+    )
     pc.add_argument("--kb", metavar="PATH", help="verdict store file")
     pc.add_argument(
         "--store",
@@ -614,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record this verdict under the pair's key",
     )
     pc.add_argument("--provenance", help="free-form note stored with the verdict")
-    _add_format(pc)
-    pc.set_defaults(func=_cmd_pair_canon)
 
     return parser
 
@@ -628,10 +535,7 @@ def run(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, SingularMatrixError, KnowledgeBaseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NashArcError as exc:  # pragma: no cover
+    except NashArcError as exc:  # validation, singular matrix, verdict store
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -263,7 +263,11 @@ class InverseSignReport:
 
 def check_inverse_nonpositive(matrix: ExactMatrix) -> InverseSignReport:
     """Invert exactly and report the sign pattern of the inverse."""
-    inv = matrix.inverse()
+    return _inverse_sign_report(matrix.inverse())
+
+
+def _inverse_sign_report(inv: ExactMatrix) -> InverseSignReport:
+    """The sign pattern of an inverse that is already at hand."""
     offending = []
     zeros = []
     for i, row in enumerate(inv.rows):

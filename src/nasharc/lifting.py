@@ -21,7 +21,7 @@ from fractions import Fraction
 from .clusters import BlowupCluster, canonical_coeffs
 from .errors import ValidationError
 from .rationals import format_rational
-from .valuations import cluster_matrix
+from .valuations import curvette_order_rows
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class WedgeNumericalModel:
 
     def __post_init__(self):
         n = self.cluster.n
+        if isinstance(self.special, bool) or not isinstance(self.special, int):
+            raise ValidationError(f"special component must be an integer, got {self.special!r}")
         if not 0 <= self.special < n:
             raise ValidationError(f"special component {self.special} out of range")
         if len(self.c) != n or len(self.d) != n:
@@ -73,11 +75,16 @@ class WedgeNumericalModel:
 
 
 def solve_b(model: WedgeNumericalModel) -> tuple[Fraction, ...]:
-    """The unique b with (a - b) = M^{-1} (c + d), exactly."""
-    inv = cluster_matrix(model.cluster).inverse()
-    cd = tuple(ci + di for ci, di in zip(model.c, model.d))
-    rhs = inv.matvec(cd)
-    return tuple(Fraction(ai) - ri for ai, ri in zip(model.a, rhs))
+    """The unique b with (a - b) = M^{-1} (c + d), exactly.
+
+    The cluster keeps its curvette rows R = -M^{-1}, so b = a + R (c + d)
+    needs no elimination of its own.
+    """
+    cd = [ci + di for ci, di in zip(model.c, model.d)]
+    rows = curvette_order_rows(model.cluster)
+    return tuple(
+        Fraction(ai + sum(r * v for r, v in zip(row, cd))) for ai, row in zip(model.a, rows)
+    )
 
 
 def verify_numerical(model: WedgeNumericalModel) -> bool:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import CanonicalKey
-from .clusters import BlowupCluster, closure_indices
+from .clusters import BlowupCluster, _check_index, closure_indices
 from .errors import (
     KnowledgeBaseConflict,
     KnowledgeBaseError,
@@ -41,7 +41,7 @@ from .errors import (
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
 from .rationals import format_rational
-from .valuations import curvette_order_rows, ord_poly
+from .valuations import _first_smaller_curvette, curvette_order_rows, ord_poly
 
 
 class ObstructionStatus(enum.Enum):
@@ -135,20 +135,17 @@ def valuative_obstruction(cluster: BlowupCluster, e: int, f: int) -> Obstruction
     """
     if e == f:
         raise ValidationError("the two components of an adjacency must differ")
-    keep = closure_indices(cluster, e, f)
-    rows = curvette_order_rows(cluster)
-    row_e, row_f = rows[e], rows[f]
+    i = _first_smaller_curvette(cluster, e, f, closure_indices(cluster, e, f))
     adjacency = f"N_{f} in N_{e}"
-    for i in keep:
-        if row_f[i] < row_e[i]:
-            witness = CurvetteWitness(i, row_f[i], row_e[i])
-            return ObstructionVerdict(
-                ObstructionStatus.RULED_OUT,
-                adjacency,
-                witness,
-                f"curvette through point {i} has order {row_f[i]} along "
-                f"component {f} but {row_e[i]} along component {e}",
-            )
+    if i is not None:
+        rows = curvette_order_rows(cluster)
+        return ObstructionVerdict(
+            ObstructionStatus.RULED_OUT,
+            adjacency,
+            CurvetteWitness(i, rows[f][i], rows[e][i]),
+            f"curvette through point {i} has order {rows[f][i]} along "
+            f"component {f} but {rows[e][i]} along component {e}",
+        )
     return ObstructionVerdict(
         ObstructionStatus.NOT_RULED_OUT,
         adjacency,
@@ -169,8 +166,7 @@ def refined_valuative_obstruction(
     one strict violation suffices.
     """
     for idx in (e, f, f2):
-        if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < cluster.n:
-            raise ValidationError(f"point index {idx!r} out of range")
+        _check_index(cluster, idx)
     v_e = ord_poly(cluster, g, e)
     v_f = ord_poly(cluster, g, f)
     v_f2 = ord_poly(cluster, g, f2)

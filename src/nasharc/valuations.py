@@ -137,6 +137,17 @@ def ord_vector(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
 # -- comparison of valuations ---------------------------------------------------
 
 
+def _first_smaller_curvette(cluster: BlowupCluster, e: int, f: int, keep) -> int | None:
+    """The first curvette of ``keep`` with a smaller order along f than along e, or None.
+
+    None means the valuation of e is dominated by the valuation of f on
+    ``keep``; a curvette found is the witness that it is not.
+    """
+    rows = curvette_order_rows(cluster)
+    row_e, row_f = rows[e], rows[f]
+    return next((i for i in keep if row_f[i] < row_e[i]), None)
+
+
 class Comparison(enum.Enum):
     LESS_EQ = "LESS_EQ"
     GREATER_EQ = "GREATER_EQ"
@@ -155,9 +166,8 @@ def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
     keep = closure_indices(cluster, e, f)
     if e == f:
         return Comparison.EQUAL
-    rows = curvette_order_rows(cluster)
-    le = all(rows[e][i] <= rows[f][i] for i in keep)
-    ge = all(rows[e][i] >= rows[f][i] for i in keep)
+    le = _first_smaller_curvette(cluster, e, f, keep) is None
+    ge = _first_smaller_curvette(cluster, f, e, keep) is None
     if le and ge:  # distinct rows of an invertible matrix cannot tie
         raise InternalInvariantError("distinct components produced identical order rows")
     if le:

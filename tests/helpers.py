@@ -19,6 +19,7 @@ from nasharc import (
     ExactMatrix,
     ObstructionStatus,
     closure_indices,
+    cluster_matrix,
     curvette_order_rows,
     minimal_joint_model,
 )
@@ -154,3 +155,10 @@ def obstruction_joint_model(cluster, e: int, f: int):
         if row_f[new_i] < row_e[new_i]:
             return ObstructionStatus.RULED_OUT, CurvetteWitness(old_i, row_f[new_i], row_e[new_i])
     return ObstructionStatus.NOT_RULED_OUT, None
+
+
+def solve_b_by_inverse(model) -> tuple[Fraction, ...]:
+    """b = a - M^{-1} (c + d), inverting the simulated lattice afresh."""
+    cd = tuple(ci + di for ci, di in zip(model.c, model.d))
+    rhs = cluster_matrix(model.cluster).inverse().matvec(cd)
+    return tuple(Fraction(ai) - ri for ai, ri in zip(model.a, rhs))

@@ -195,6 +195,24 @@ def test_dfd_check_schema_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dfd", "check", str(path))
     assert code == 2 and "special" in err
 
+    good = {"schema": "wedgemodel/1", "cluster": "chain2", "special": 1, "c": [0, 0], "d": [0, 0]}
+    malformed = [
+        ({"c": 5}, "c"),
+        ({"d": None}, "d"),
+        ({"coeffs": 3}, "coeffs"),
+        ({"b": 5}, "b"),
+        ({"special": "1"}, "special"),
+        ({"special": True}, "special"),
+    ]
+    for change, field in malformed:
+        path.write_text(json.dumps({**good, **change}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "dfd", "check", str(path))
+        assert code == 2 and field in err, (change, err)
+
+    path.write_text(json.dumps([good]), encoding="utf-8")
+    code, _, err = run_cli(capsys, "dfd", "check", str(path))
+    assert code == 2 and "object" in err
+
 
 def test_pair_canon_kb_flow(tmp_path, capsys):
     kb = tmp_path / "kb.jsonl"
@@ -214,6 +232,54 @@ def test_pair_canon_kb_flow(tmp_path, capsys):
         capsys, "pair", "canon", "chain2", "0", "1", "--kb", str(kb), "--store", "RULED_OUT"
     )
     assert code == 2 and "conflicts" in err
+
+
+def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "pair", "canon", "chain2", "0", "1", "--store", "RULED_OUT")
+    assert code == 2 and out == ""
+    assert "--kb" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeypatch):
+    from nasharc import ExactMatrix
+
+    calls = []
+    inverse = ExactMatrix.inverse
+
+    def spy(self):
+        calls.append(self.n)
+        return inverse(self)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", spy)
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({
+            "schema": "wedgemodel/1", "cluster": "chain4", "special": 3,
+            "c": [0, 1, 0, 0], "d": [0, 0, 2, 1], "b": ["1", "2", "3", "4"],
+        }),
+        encoding="utf-8",
+    )
+    requests = [
+        ["cluster", "build", "chain20"],
+        ["val", "compare", "chain20", "3", "17"],
+        ["val", "ord", "chain5", "4", "--poly", "y - x^3"],
+        ["adj", "obstruct", "chain20", "3", "17"],
+        ["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0"],
+        ["adj", "table", "chain20"],
+        ["dfd", "check", str(model), "--minimal-target", "--assert-b1-lt-1"],
+    ]
+    for argv in requests:
+        for fmt in ("text", "structured"):
+            calls.clear()
+            code, _, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0, err
+            assert len(calls) <= 1, (argv, calls)
+
+    calls.clear()
+    code, _, _ = run_cli(capsys, "graph", "check", "E8")
+    assert code == 0 and calls == [8]
 
 
 def test_pair_canon_structured(capsys):

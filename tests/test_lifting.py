@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import solve_b_by_inverse
 
 from nasharc import (
     ValidationError,
@@ -10,7 +11,9 @@ from nasharc import (
     cluster_fixture,
     cluster_matrix,
     enumerate_proximity_structures,
+    intersection_from_proximity,
     lifting_verdict,
+    proximity_matrix,
     solve_b,
     verify_numerical,
 )
@@ -69,6 +72,23 @@ def test_nonpositive_difference_on_random_models():
         rhs = inv.matvec(tuple(x + y for x, y in zip(c, d)))
         assert all(Fraction(ai) - bi == ri for ai, bi, ri in zip(model.a, b, rhs))
         assert all(Fraction(ai) - bi <= 0 for ai, bi in zip(model.a, b))
+
+
+def test_solve_b_matches_inverse_route_and_proximity_lattice():
+    """b from the kept curvette rows equals b from a fresh inversion, and
+    M (a - b) = c + d holds with M = -P^t P built from the proximity matrix."""
+    rng = random.Random(11)
+    for cluster in enumerate_proximity_structures(5):
+        M = intersection_from_proximity(proximity_matrix(cluster))
+        for _ in range(2):
+            c = tuple(rng.randint(0, 4) for _ in range(cluster.n))
+            d = tuple(rng.randint(-2, 4) for _ in range(cluster.n))
+            model = WedgeNumericalModel(cluster, rng.randrange(cluster.n), c, d)
+            b = solve_b(model)
+            assert all(type(v) is Fraction for v in b)
+            assert b == solve_b_by_inverse(model)
+            diff = tuple(ai - bi for ai, bi in zip(model.a, b))
+            assert M.matvec(diff) == tuple(ci + di for ci, di in zip(c, d))
 
 
 def test_lifting_requires_minimal_target():
@@ -142,6 +162,9 @@ def test_model_validation():
         WedgeNumericalModel(ONE_POINT, 0, (0,), (0,), coeffs=(-1,))
     with pytest.raises(ValidationError):
         WedgeNumericalModel(ONE_POINT, 0, (0,), (0,), b=(Fraction(1), Fraction(2)))
+    for special in ("0", 0.0, True, None):
+        with pytest.raises(ValidationError, match="special"):
+            WedgeNumericalModel(ONE_POINT, special, (0,), (0,))
 
 
 def test_verdict_doc():
