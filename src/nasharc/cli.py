@@ -43,7 +43,7 @@ from .dual_graphs import (
     standard_fixture,
     validate_graph_doc,
 )
-from .errors import InternalInvariantError, NashArcError, ValidationError
+from .errors import InternalInvariantError, NashArcError, SingularMatrixError, ValidationError
 from .euler_bounds import EulerInput, b0_bound, balls_bound, contradiction_certificate, tubes_bound
 from .exact_linalg import ExactMatrix, _inverse_sign_report, is_negative_definite
 from .lifting import WedgeNumericalModel, lifting_verdict, solve_b, verify_numerical
@@ -313,7 +313,10 @@ def _cmd_euler_bound(args) -> int:
         "final": cert.bound,
     }
     M = intersection_matrix(graph)
-    inverse = M.inverse() if M.determinant() != 0 else None
+    try:
+        inverse = M.inverse()
+    except SingularMatrixError:
+        inverse = None
     lines = [
         f"attachment ball bound: {parts['b0']}",
         f"crossing balls bound:  {parts['balls']}",
@@ -400,6 +403,8 @@ def _cmd_dfd_check(args) -> int:
 def _cmd_pair_canon(args) -> int:
     if args.store and not args.kb:
         raise ValidationError("--store needs --kb, the verdict store to record into")
+    if args.provenance is not None and not args.store:
+        raise ValidationError("--provenance needs --store, the verdict it annotates")
     cluster = load_cluster_input(args.input)
     graph = pair_graph(cluster, args.e, args.f)
     key = canonical_key(graph)
@@ -522,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(s.value for s in ObstructionStatus),
         help="record this verdict under the pair's key",
     )
-    pc.add_argument("--provenance", help="free-form note stored with the verdict")
+    pc.add_argument("--provenance", help="free-form note stored with the verdict (needs --store)")
 
     return parser
 

@@ -42,12 +42,9 @@ class BlowupCluster:
     points: tuple[ClusterPoint, ...]
 
     def __post_init__(self):
-        geom = _Geometry()
-        for point in self.points:
-            geom.add(point)
         if not self.points:
             raise ValidationError("a cluster needs at least one point, the origin")
-        object.__setattr__(self, "_geometry", geom)
+        object.__setattr__(self, "_geometry", _Geometry(self.points))
 
     @classmethod
     def from_specs(cls, specs: Iterable) -> "BlowupCluster":
@@ -100,102 +97,116 @@ class BlowupCluster:
         }
 
 
-class _Geometry:
-    """Replay of the blow-up sequence with chart bookkeeping.
+# directions on a component taken by the components crossing it, by chart kind
+_CROSSING_SLOPES = {
+    "root": (),
+    "free": (INF,),
+    "free_inf": (Fraction(0),),
+    "sat_x": (Fraction(0), INF),
+    "sat_y": (Fraction(0), INF),
+}
 
-    For every center we record the set of components through it, which
-    local coordinate axis each of those components occupies in the chart
-    centered at that point, and the chart kind used to reach it.  The axis
-    letters drive both tangent validation (a free direction must avoid the
-    directions where other components cross the parent component) and the
-    strict-transform recursion in the valuation module.
+
+def _forbidden_slopes(kinds, points, component: int) -> set:
+    """Directions on a component unavailable to a new free point among ``points``:
+    those of the crossing components and the tangents of its free children."""
+    taken = set(_CROSSING_SLOPES[kinds[component]])
+    taken.update(
+        p.tangent
+        for p in points
+        if p.parent == component and p.satellite_of is None and p.tangent is not None
+    )
+    return taken
+
+
+class _Geometry:
+    """One validating replay of the blow-up sequence, kept as its results.
+
+    Per center: the earlier centers whose components pass through it
+    (``prox``), the chart kind used to reach it (``kinds``) and the final
+    self-intersection of its component (``self_ints``); for the model, the
+    intersections that survive every blow-up (``edges``, sorted pairs).
+    During the replay each component through a center occupies one local
+    coordinate axis of the chart there; the axis letters fix the chart kind
+    of a later satellite, and the chart kinds fix the directions a free
+    point must avoid.
     """
 
-    def __init__(self):
-        self.prox: list[tuple[int, ...]] = []
-        self.kinds: list[str] = []
-        self.axes: list[dict[int, str]] = []
-        self.self_ints: list[int] = []
-        self.alive_edges: set[frozenset[int]] = set()
-        self._free_tangents: dict[int, dict[int, Tangent]] = {}
+    def __init__(self, points: tuple[ClusterPoint, ...]):
+        self.points = points
+        prox: list[tuple[int, ...]] = []
+        kinds: list[str] = []
+        self_ints: list[int] = []
+        axes: list[dict[int, str]] = []
+        alive: set[tuple[int, int]] = set()
+        for i, point in enumerate(points):
+            if i >= MAX_POINTS:
+                raise ValidationError(f"clusters are capped at {MAX_POINTS} points")
+            if i == 0:
+                if point.parent is not None or point.satellite_of is not None:
+                    raise ValidationError("point 0 is the origin and has no parent")
+                if point.tangent is not None:
+                    raise ValidationError("point 0 carries no tangent parameter")
+                prox.append(())
+                kinds.append("root")
+                axes.append({})
+                self_ints.append(-1)
+                continue
 
-    def _axis_slopes(self, point_index: int) -> set:
-        slopes = set()
-        for letter in self.axes[point_index].values():
-            slopes.add(INF if letter == "x" else Fraction(0))
-        return slopes
+            parent = point.parent
+            if parent is None or not isinstance(parent, int) or isinstance(parent, bool):
+                raise ValidationError(f"points[{i}].parent: expected an index below {i}")
+            if not 0 <= parent < i:
+                raise ValidationError(f"points[{i}].parent: index {parent} must be below {i}")
+
+            if point.satellite_of is None:
+                tangent = point.tangent
+                if tangent is not None and not isinstance(tangent, (Fraction, int, _Infinity)):
+                    raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
+                if tangent is not None and tangent in _forbidden_slopes(kinds, points[:i], parent):
+                    raise ValidationError(
+                        f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
+                        f"{parent} is already occupied by another component or sibling"
+                    )
+                here = (parent,)
+                kind = "free_inf" if isinstance(tangent, _Infinity) else "free"
+                chart = {parent: "y" if kind == "free_inf" else "x"}
+            else:
+                other = point.satellite_of
+                if not isinstance(other, int) or isinstance(other, bool) or not 0 <= other < i:
+                    raise ValidationError(f"points[{i}].satellite_of: index must be below {i}")
+                if other == parent:
+                    raise ValidationError(f"points[{i}].satellite_of: must differ from parent")
+                if point.tangent is not None:
+                    raise ValidationError(f"points[{i}].tangent: satellite points carry no tangent")
+                here = tuple(sorted((parent, other)))
+                if here not in alive:
+                    raise ValidationError(
+                        f"points[{i}]: components {parent} and {other} do not intersect "
+                        f"in the model before this blow-up"
+                    )
+                lo, hi = here
+                letter = axes[hi][lo]
+                kind = "sat_x" if letter == "x" else "sat_y"
+                # chart B keeps the old component on the x-axis; chart A on the y-axis
+                chart = {hi: "y", lo: "x"} if letter == "x" else {hi: "x", lo: "y"}
+
+            for s in here:
+                self_ints[s] -= 1
+                alive.add((s, i))
+            alive.discard(here)  # a satellite center separates its two components
+            prox.append(here)
+            kinds.append(kind)
+            axes.append(chart)
+            self_ints.append(-1)
+        self.prox = tuple(prox)
+        self.kinds = tuple(kinds)
+        self.self_ints = tuple(self_ints)
+        self.edges = tuple(sorted(alive))
 
     def forbidden_slopes(self, component: int) -> set:
         """Directions on a component unavailable to a new free point."""
-        taken = self._axis_slopes(component)
-        taken.update(
-            t for t in self._free_tangents.get(component, {}).values() if t is not None
-        )
-        return taken
-
-    def add(self, point: ClusterPoint):
-        i = len(self.prox)
-        if i >= MAX_POINTS:
-            raise ValidationError(f"clusters are capped at {MAX_POINTS} points")
-        if i == 0:
-            if point.parent is not None or point.satellite_of is not None:
-                raise ValidationError("point 0 is the origin and has no parent")
-            if point.tangent is not None:
-                raise ValidationError("point 0 carries no tangent parameter")
-            self.prox.append(())
-            self.kinds.append("root")
-            self.axes.append({})
-            self.self_ints.append(-1)
-            return
-
-        parent = point.parent
-        if parent is None or not isinstance(parent, int) or isinstance(parent, bool):
-            raise ValidationError(f"points[{i}].parent: expected an index below {i}")
-        if not 0 <= parent < i:
-            raise ValidationError(f"points[{i}].parent: index {parent} must be below {i}")
-
-        if point.satellite_of is None:
-            tangent = point.tangent
-            if tangent is not None and not isinstance(tangent, (Fraction, int, _Infinity)):
-                raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
-            if tangent is not None and tangent in self.forbidden_slopes(parent):
-                raise ValidationError(
-                    f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
-                    f"{parent} is already occupied by another component or sibling"
-                )
-            prox = (parent,)
-            kind = "free_inf" if isinstance(tangent, _Infinity) else "free"
-            axes = {parent: "y" if kind == "free_inf" else "x"}
-            self._free_tangents.setdefault(parent, {})[i] = tangent
-        else:
-            other = point.satellite_of
-            if not isinstance(other, int) or isinstance(other, bool) or not 0 <= other < i:
-                raise ValidationError(f"points[{i}].satellite_of: index must be below {i}")
-            if other == parent:
-                raise ValidationError(f"points[{i}].satellite_of: must differ from parent")
-            if point.tangent is not None:
-                raise ValidationError(f"points[{i}].tangent: satellite points carry no tangent")
-            if frozenset((parent, other)) not in self.alive_edges:
-                raise ValidationError(
-                    f"points[{i}]: components {parent} and {other} do not intersect "
-                    f"in the model before this blow-up"
-                )
-            lo, hi = sorted((parent, other))
-            letter = self.axes[hi][lo]
-            prox = (lo, hi)
-            kind = "sat_x" if letter == "x" else "sat_y"
-            # chart B keeps the old component on the x-axis; chart A on the y-axis
-            axes = {hi: "y", lo: "x"} if letter == "x" else {hi: "x", lo: "y"}
-
-        for s in prox:
-            self.self_ints[s] -= 1
-            self.alive_edges.add(frozenset((s, i)))
-        if len(prox) == 2:
-            self.alive_edges.discard(frozenset(prox))
-        self.prox.append(prox)
-        self.kinds.append(kind)
-        self.axes.append(axes)
-        self.self_ints.append(-1)
+        return _forbidden_slopes(self.kinds, self.points, component)
 
 
 CLUSTER_SCHEMA = "cluster/1"
@@ -269,11 +280,8 @@ def simulate(cluster: BlowupCluster) -> DualGraph:
     two components meeting at a satellite center.
     """
     geom = cluster.geometry()
-    vertices = tuple(
-        GraphVertex(i, geom.self_ints[i], 0) for i in range(cluster.n)
-    )
-    edges = tuple(tuple(sorted(e)) for e in geom.alive_edges)
-    return DualGraph(vertices, edges)
+    vertices = tuple(GraphVertex(i, w, 0) for i, w in enumerate(geom.self_ints))
+    return DualGraph(vertices, geom.edges)
 
 
 def proximity_matrix(cluster: BlowupCluster) -> ExactMatrix:
@@ -412,33 +420,17 @@ def enumerate_proximity_structures(
     if max_points > MAX_POINTS:
         raise ValidationError(f"enumeration capped at {MAX_POINTS} points")
 
-    specs: list[ClusterPoint] = [ClusterPoint()]
-
-    def rec(alive: set[frozenset[int]]):
-        k = len(specs)
-        if k >= min_points:
-            yield BlowupCluster(tuple(specs))
-        if k == max_points:
+    def rec(cluster: BlowupCluster):
+        if cluster.n >= min_points:
+            yield cluster
+        if cluster.n == max_points:
             return
-        for parent in range(k):
-            specs.append(ClusterPoint(parent))
-            added = frozenset((parent, k))
-            alive.add(added)
-            yield from rec(alive)
-            alive.discard(added)
-            specs.pop()
-        for edge in sorted(alive, key=sorted):
-            lo, hi = sorted(edge)
-            specs.append(ClusterPoint(hi, lo))
-            alive.discard(edge)
-            e1, e2 = frozenset((lo, k)), frozenset((hi, k))
-            alive.update((e1, e2))
-            yield from rec(alive)
-            alive.difference_update((e1, e2))
-            alive.add(edge)
-            specs.pop()
+        free = [ClusterPoint(parent) for parent in range(cluster.n)]
+        satellites = [ClusterPoint(hi, lo) for lo, hi in cluster.geometry().edges]
+        for point in free + satellites:
+            yield from rec(BlowupCluster(cluster.points + (point,)))
 
-    yield from rec(set())
+    yield from rec(BlowupCluster((ClusterPoint(),)))
 
 
 def enumerate_tangent_assignments(
@@ -450,33 +442,22 @@ def enumerate_tangent_assignments(
     component (another sibling, or a crossing component) are skipped, since
     such a point would not be free.
     """
-    free_indices = [i for i in range(structure.n) if structure.is_free(i)]
 
-    def rec(assigned: dict[int, Tangent]):
-        if len(assigned) == len(free_indices):
-            pts = tuple(
-                ClusterPoint(p.parent, p.satellite_of, assigned.get(i))
-                for i, p in enumerate(structure.points)
-            )
-            yield BlowupCluster(pts)
+    def rec(prefix: BlowupCluster):
+        i = prefix.n
+        if i == structure.n:
+            yield prefix
             return
-        i = free_indices[len(assigned)]
-        prefix = tuple(
-            ClusterPoint(p.parent, p.satellite_of, assigned.get(j))
-            for j, p in enumerate(structure.points[:i])
-        )
-        geom = _Geometry()
-        for p in prefix:
-            geom.add(p)
-        taken = geom.forbidden_slopes(structure.points[i].parent)
-        for t in pool:
-            if t in taken:
-                continue
-            assigned[i] = t
-            yield from rec(assigned)
-            del assigned[i]
+        point = structure.points[i]
+        if structure.is_free(i):
+            taken = prefix.geometry().forbidden_slopes(point.parent)
+            choices = [ClusterPoint(point.parent, None, t) for t in pool if t not in taken]
+        else:
+            choices = [point]
+        for choice in choices:
+            yield from rec(BlowupCluster(prefix.points + (choice,)))
 
-    yield from rec({})
+    yield from rec(BlowupCluster(structure.points[:1]))
 
 
 def cluster_fixture(name: str) -> BlowupCluster:

@@ -179,8 +179,10 @@ def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
 
 # -- explicit curvette equations --------------------------------------------------
 
+_CURVETTE_TRIES = 8  # general slopes tried before a wrong profile counts as a fault
 
-def curvette_polynomial(cluster: BlowupCluster, i: int, max_tries: int = 8) -> Poly2:
+
+def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     """An explicit germ whose lift crosses component i transversely.
 
     Built by parametrizing a general direction in the chart at center i,
@@ -196,8 +198,7 @@ def curvette_polynomial(cluster: BlowupCluster, i: int, max_tries: int = 8) -> P
 
     taken = cluster.geometry().forbidden_slopes(i)
     candidates = (c for c in range(1, 1 + 50) if c not in taken)
-    last_error: Exception | None = None
-    for _ in range(max_tries):
+    for _ in range(_CURVETTE_TRIES):
         slope = next(candidates)
         x_t = Poly2.monomial(1, 0)  # parameter t rides in the x slot
         y_t = Poly2.monomial(1, 0, slope)
@@ -219,10 +220,9 @@ def curvette_polynomial(cluster: BlowupCluster, i: int, max_tries: int = 8) -> P
         profile = tuple(orders[k] for k in keep)
         if profile == expect:
             return g
-        last_error = InternalInvariantError(
-            f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"
-        )
-    raise last_error if last_error is not None else InternalInvariantError("curvette search failed")
+    raise InternalInvariantError(
+        f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"
+    )
 
 
 def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:

@@ -242,6 +242,16 @@ def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_pair_canon_provenance_needs_store(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for extra in ((), ("--kb", "kb.jsonl")):
+        argv = ("pair", "canon", "chain2", "0", "1", "--provenance", "valuative", *extra)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--store" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeypatch):
     from nasharc import ExactMatrix
 
@@ -289,3 +299,19 @@ def test_pair_canon_structured(capsys):
     labels = report["pair_graph"]["vertices"][0]["labels"]
     assert labels == ["E", "F"]
     assert report["canonical_key"].startswith("{")
+
+
+def test_euler_bound_runs_one_elimination(capsys, monkeypatch):
+    import nasharc.exact_linalg as exact_linalg
+
+    calls = []
+    eliminate = exact_linalg._eliminate
+
+    def spy(m, swaps):
+        calls.append(len(m))
+        return eliminate(m, swaps)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", spy)
+    code, _, err = run_cli(capsys, "euler", "bound", "E8", "--coeffs", "2,3,4,5,6,4,2,3", "--attach", "7")
+    assert code == 0, err
+    assert calls == [8]
