@@ -419,6 +419,8 @@ def enumerate_proximity_structures(
     """
     if max_points > MAX_POINTS:
         raise ValidationError(f"enumeration capped at {MAX_POINTS} points")
+    if max_points < max(1, min_points):
+        raise ValidationError(f"max_points {max_points} is below 1 or below min_points {min_points}")
 
     def rec(cluster: BlowupCluster):
         if cluster.n >= min_points:
@@ -430,7 +432,7 @@ def enumerate_proximity_structures(
         for point in free + satellites:
             yield from rec(BlowupCluster(cluster.points + (point,)))
 
-    yield from rec(BlowupCluster((ClusterPoint(),)))
+    return rec(BlowupCluster((ClusterPoint(),)))
 
 
 def enumerate_tangent_assignments(

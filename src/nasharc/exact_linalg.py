@@ -2,12 +2,14 @@
 
 This is the arithmetic backbone for every intersection-lattice computation
 in the package.  An entry is an ``int`` whenever it is integral and a
-``Fraction`` only for a true quotient.  Determinants, leading principal
-minors, the Sylvester negative-definiteness test, inverses and linear
-solves all run one fraction-free Gauss-Jordan elimination over Python
-integers (Bareiss, Math. Comp. 22, 1968), followed by a single exact
-division.  Matrices are immutable; all operations return new values and
-are safe to run concurrently.
+``Fraction`` only for a true quotient.  Each matrix gets one elimination:
+a fraction-free Gauss-Jordan sweep of [M | I] over Python integers
+(Bareiss, Math. Comp. 22, 1968), run on first use and kept on the matrix.
+Determinants, leading principal minors, the Sylvester negative-definiteness
+test, inverses and linear solves all read that sweep, followed by a single
+exact division; its pivots before the first row swap are the leading
+principal minors.  Matrices are immutable; all operations return new values
+and are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -47,32 +49,34 @@ def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]
     return out, scales
 
 
-def _eliminate(m: list[list[int]], swaps: bool) -> list[int]:
+def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of the leading square block of m.
 
     m holds n integer rows of width >= n and is reduced in place.  Step k
     clears column k in every other row by (a * pivot - b * c) / previous
     pivot; Sylvester's identity makes that division exact, which is
-    checked.  Returns the pivots: the k-th is the leading (k+1)-minor of m
-    with its rows as reordered.  With ``swaps``, a zero pivot is replaced by
-    the first nonzero entry below it, whose row comes up negated so that no
-    minor changes sign.  A zero pivot that stays ends the sweep, so fewer
-    than n pivots mean a vanishing minor (with ``swaps``: det m = 0).
-    After all n steps, row i of the appended columns holds det times row i
-    of the solution X of the appended system M X = B.
+    checked.  A zero pivot is replaced by the first nonzero entry below it,
+    whose row comes up negated so that no minor changes sign; a zero pivot
+    that stays ends the sweep, so fewer than n pivots mean det m = 0.
+    Returns the pivots and ``leading``, the number of pivots taken before
+    the first swap: the k-th of those is the leading (k+1)-minor of m.
+    After all n steps the last pivot is det m, and row i of the appended
+    columns holds det times row i of the solution X of the appended system
+    M X = B.
     """
     n = len(m)
     width = len(m[0]) if m else 0
     pivots: list[int] = []
+    leading = n
     prev = 1
     for k in range(n):
-        if swaps and m[k][k] == 0:
+        if m[k][k] == 0:
+            leading = min(leading, k)
             r = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if r is not None:
-                m[k], m[r] = [-v for v in m[r]], m[k]
+            if r is None:
+                break
+            m[k], m[r] = [-v for v in m[r]], m[k]
         pivot = m[k][k]
-        if pivot == 0:
-            break
         pivots.append(pivot)
         row_k = m[k]
         for r in range(n):
@@ -87,7 +91,7 @@ def _eliminate(m: list[list[int]], swaps: bool) -> list[int]:
                 row_r[c] = quotient
             row_r[k] = 0
         prev = pivot
-    return pivots
+    return pivots, leading
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,6 @@ class ExactMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Fraction | int:
-        return self.rows[i][j]
 
     def transpose(self) -> "ExactMatrix":
         n = self.n
@@ -150,57 +151,63 @@ class ExactMatrix:
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for row in self.rows for v in row)
 
-    # -- determinants ------------------------------------------------------
+    # -- the kept elimination and what reads it ----------------------------
+
+    def _sweep(self) -> tuple[list[int], list[int], int, list[list[int]]]:
+        """The one elimination of [M | I], run on first use and kept on the matrix.
+
+        With rows scaled by s > 0, S = diag(s): the pivots before the first
+        swap (the leading minors of S M), s, d = det(S M), and d M^-1 if d != 0.
+        """
+        sweep = self.__dict__.get("_kept_sweep")
+        if sweep is None:
+            n = self.n
+            m, scales = _integer_rows(map(tuple.__add__, self.rows, ExactMatrix.identity(n).rows))
+            pivots, leading = _eliminate(m)
+            det = 0 if len(pivots) < n else pivots[-1] if pivots else 1
+            sweep = (pivots[:leading], scales, det, [row[n:] for row in m])
+            object.__setattr__(self, "_kept_sweep", sweep)
+        return sweep
 
     def determinant(self) -> Fraction | int:
-        """Exact determinant by fraction-free elimination with row swaps."""
-        m, scales = _integer_rows(self.rows)
-        pivots = _eliminate(m, swaps=True)
-        if len(pivots) < self.n:
-            return 0
-        return _quotient(pivots[-1] if pivots else 1, prod(scales))
+        """Exact determinant: det(S M) from the kept sweep over the row scales."""
+        _, scales, det, _ = self._sweep()
+        return _quotient(det, prod(scales))
 
     def leading_principal_minors(self) -> tuple[Fraction | int, ...]:
-        """The n leading principal minors, via one swap-free elimination sweep.
+        """The n leading principal minors, read off the kept sweep.
 
-        The k-th pivot is the k-th leading minor of the row-scaled matrix.
-        When a zero pivot is hit the sweep cannot continue, which is
-        precisely the situation where that minor is zero; the remaining
-        minors are then computed by independent sub-determinants.
+        The k-th pivot before the first row swap is the k-th leading minor
+        of the row-scaled matrix.  A swap is needed precisely where that
+        minor is zero; the remaining minors are then computed by independent
+        sub-determinants.
         """
         n = self.n
-        m, scales = _integer_rows(self.rows)
-        pivots = _eliminate(m, swaps=False)
+        pivots, scales, _, _ = self._sweep()
         minors = [_quotient(p, prod(scales[: k + 1])) for k, p in enumerate(pivots)]
-        if len(pivots) < n:
+        if len(minors) < n:
             minors.append(0)
             for size in range(len(minors) + 1, n + 1):
-                minors.append(ExactMatrix(tuple(row[:size] for row in self.rows[:size])).determinant())
+                block = self if size == n else ExactMatrix(tuple(row[:size] for row in self.rows[:size]))
+                minors.append(block.determinant())
         return tuple(minors)
-
-    # -- inverses and solving ----------------------------------------------
-
-    def _solve_rows(self, rhs_rows: Iterable[Sequence]) -> list[list[Fraction | int]]:
-        """X with M X = B, given the rows of B; raises SingularMatrixError when det = 0."""
-        n = self.n
-        m, _ = _integer_rows(row + tuple(b) for row, b in zip(self.rows, rhs_rows))
-        pivots = _eliminate(m, swaps=True)
-        if len(pivots) < n:
-            raise SingularMatrixError("matrix is singular, no exact inverse or solution")
-        det = pivots[-1] if pivots else 1
-        return [[_quotient(v, det) for v in row[n:]] for row in m]
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse; raises SingularMatrixError on singular input."""
-        n = self.n
-        unit_rows = ([int(i == j) for j in range(n)] for i in range(n))
-        return ExactMatrix(tuple(map(tuple, self._solve_rows(unit_rows))))
+        _, _, det, block = self._sweep()
+        if det == 0:
+            raise SingularMatrixError("matrix is singular, no exact inverse or solution")
+        return ExactMatrix(tuple(tuple(_quotient(v, det) for v in row) for row in block))
 
     def solve(self, rhs: Sequence) -> tuple[Fraction | int, ...]:
         """Solve M x = rhs exactly; raises SingularMatrixError when det = 0."""
         if len(rhs) != self.n:
             raise ValidationError("right-hand side has wrong length")
-        return tuple(x for (x,) in self._solve_rows((_coerce(b),) for b in rhs))
+        (b,), (scale,) = _integer_rows([[_coerce(v) for v in rhs]])
+        _, _, det, block = self._sweep()
+        if det == 0:
+            raise SingularMatrixError("matrix is singular, no exact inverse or solution")
+        return tuple(_quotient(sum(a * v for a, v in zip(row, b)), det * scale) for row in block)
 
     # -- serialization -------------------------------------------------------
 
@@ -219,17 +226,14 @@ class ExactMatrix:
 def is_negative_definite(matrix: ExactMatrix) -> bool:
     """Sylvester test: (-1)^k times the k-th leading minor is positive for all k.
 
-    Only symmetric matrices are accepted; the test is exact.  The pivots of
-    a swap-free sweep over the row-scaled matrix are the leading minors
-    times positive scales, so their signs decide.
+    Only symmetric matrices are accepted; the test is exact.  The pivots
+    the kept sweep takes before any row swap are the leading minors times
+    positive scales, so their signs decide; a swap means a vanishing minor.
     """
     if not matrix.is_symmetric():
         raise ValidationError("negative-definiteness is only defined for symmetric matrices")
-    m, _ = _integer_rows(matrix.rows)
-    pivots = _eliminate(m, swaps=False)
-    return len(pivots) == matrix.n and all(
-        (-1) ** (k + 1) * pivot > 0 for k, pivot in enumerate(pivots)
-    )
+    pivots = matrix._sweep()[0]
+    return len(pivots) == matrix.n and all((-1) ** (k + 1) * p > 0 for k, p in enumerate(pivots))
 
 
 @dataclass(frozen=True)

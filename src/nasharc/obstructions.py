@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import CanonicalKey
-from .clusters import BlowupCluster, _check_index, closure_indices
+from .clusters import BlowupCluster, closure_indices
 from .errors import (
     KnowledgeBaseConflict,
     KnowledgeBaseError,
@@ -41,7 +41,7 @@ from .errors import (
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
 from .rationals import format_rational
-from .valuations import _first_smaller_curvette, curvette_order_rows, ord_poly
+from .valuations import _first_smaller_curvette, _orders, curvette_order_rows
 
 
 class ObstructionStatus(enum.Enum):
@@ -165,11 +165,8 @@ def refined_valuative_obstruction(
     a wedge forces ord_e(g) >= ord_f(g) + ord_f2(g) for every germ g, so
     one strict violation suffices.
     """
-    for idx in (e, f, f2):
-        _check_index(cluster, idx)
-    v_e = ord_poly(cluster, g, e)
-    v_f = ord_poly(cluster, g, f)
-    v_f2 = ord_poly(cluster, g, f2)
+    orders = _orders(cluster, g, closure_indices(cluster, e, f, f2))
+    v_e, v_f, v_f2 = orders[e], orders[f], orders[f2]
     adjacency = f"N_{e} in N_{f} with a return lifting by {f2}"
     if v_e < v_f + v_f2:
         return ObstructionVerdict(

@@ -108,11 +108,6 @@ class Poly2:
             raise ValidationError("the zero polynomial has no multiplicity")
         return min(a + b for a, b in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(k[var] for k in self.terms)
-
     def evaluate(self, x, y):
         return sum(c * x**a * y**b for (a, b), c in self.terms.items())
 

@@ -4,7 +4,7 @@ The oracles here deliberately avoid the code paths they check: cofactor
 expansion instead of Bareiss elimination, Cramer's rule instead of
 Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
-rows.
+rows.  `count_eliminations` is a spy on the elimination kernel.
 """
 
 from __future__ import annotations
@@ -23,6 +23,21 @@ from nasharc import (
     curvette_order_rows,
     minimal_joint_model,
 )
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """The sizes of the matrices `exact_linalg._eliminate` runs on from now on."""
+    import nasharc.exact_linalg as exact_linalg
+
+    calls = []
+    eliminate = exact_linalg._eliminate
+
+    def spy(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    monkeypatch.setattr(exact_linalg, "_eliminate", spy)
+    return calls
 
 
 def det_cofactor(rows) -> Fraction:

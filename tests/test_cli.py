@@ -1,5 +1,7 @@
 import json
 
+from helpers import count_eliminations
+
 import nasharc.cli as cli
 from nasharc import cluster_fixture, standard_fixture
 
@@ -302,16 +304,16 @@ def test_pair_canon_structured(capsys):
 
 
 def test_euler_bound_runs_one_elimination(capsys, monkeypatch):
-    import nasharc.exact_linalg as exact_linalg
-
-    calls = []
-    eliminate = exact_linalg._eliminate
-
-    def spy(m, swaps):
-        calls.append(len(m))
-        return eliminate(m, swaps)
-
-    monkeypatch.setattr(exact_linalg, "_eliminate", spy)
+    calls = count_eliminations(monkeypatch)
     code, _, err = run_cli(capsys, "euler", "bound", "E8", "--coeffs", "2,3,4,5,6,4,2,3", "--attach", "7")
     assert code == 0, err
+    assert calls == [8]
+
+
+def test_graph_check_runs_one_elimination(capsys, monkeypatch):
+    # definiteness, determinant and inverse all read the one sweep kept on M
+    calls = count_eliminations(monkeypatch)
+    code, out, err = run_cli(capsys, "graph", "check", "E8")
+    assert code == 0, err
+    assert "negative definite: yes" in out and "det(M) = 1" in out
     assert calls == [8]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,15 @@ def test_enumeration_counts():
     for cluster in enumerate_proximity_structures(5):
         by_size[cluster.n] = by_size.get(cluster.n, 0) + 1
     assert by_size == {1: 1, 2: 1, 3: 3, 4: 15, 5: 105}
+
+
+def test_enumeration_refuses_empty_bounds():
+    # a bound below 1 would grow clusters toward MAX_POINTS without end
+    for max_points, min_points in ((0, 1), (-2, 1), (0, 0), (2, 3)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            enumerate_proximity_structures(max_points, min_points)
+        assert time.perf_counter() - start < 0.2
 
 
 def test_tangent_assignment_enumeration():

@@ -2,7 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import det_cofactor, inverse_adjugate, quadratic_form_negative, solve_cramer
+from helpers import (
+    count_eliminations,
+    det_cofactor,
+    inverse_adjugate,
+    quadratic_form_negative,
+    solve_cramer,
+)
 
 from nasharc import (
     ExactMatrix,
@@ -148,6 +154,60 @@ def test_leading_principal_minors():
     assert A2.leading_principal_minors() == (-2, 3)
     zero_pivot = ExactMatrix.from_rows([[0, 1], [1, 0]])
     assert zero_pivot.leading_principal_minors() == (0, -1)
+
+
+# first leading minor zero (invertible and singular), a later zero minor,
+# a singular matrix whose first minor is not zero, rational entries
+SWAP_AND_SINGULAR_CASES = (
+    [[0, 1], [1, 0]],
+    [[0, 2, -1], [2, -3, 1], [-1, 1, -2]],
+    [[0, 1, 3], [2, 0, 1], [1, 1, 0]],
+    [[0, 1, 1], [1, 0, 1], [1, 1, 2]],
+    [[0, 0], [0, 0]],
+    [[1, 2], [2, 4]],
+    [["1/2", 0, 1], [0, 0, 1], [1, 1, 0]],
+    [[1, 1, 0, 2], [1, 1, 3, 0], [0, 3, 1, 1], [2, 0, 1, "-1/3"]],
+    [[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, "-1/2", 0], [0, 0, 0, 0]],
+)
+
+
+def test_swaps_and_singular_matrices_match_cofactor_oracle():
+    for rows in SWAP_AND_SINGULAR_CASES:
+        matrix = ExactMatrix.from_rows(rows)
+        n = matrix.n
+        exact = [[Fraction(v) for v in row] for row in matrix.rows]
+        det = det_cofactor(exact)
+        minors = [det_cofactor([row[:k] for row in exact[:k]]) for k in range(1, n + 1)]
+        assert matrix.determinant() == det, rows
+        assert list(matrix.leading_principal_minors()) == minors, rows
+        if matrix.is_symmetric():
+            expected = all((-1) ** k * m > 0 for k, m in enumerate(minors, start=1))
+            assert is_negative_definite(matrix) == expected, rows
+        rhs = [Fraction(k + 1, 3) for k in range(n)]
+        if det != 0:
+            assert [list(r) for r in matrix.inverse().rows] == inverse_adjugate(matrix)
+            assert list(matrix.solve(rhs)) == solve_cramer(matrix, rhs)
+        else:
+            with pytest.raises(SingularMatrixError):
+                matrix.inverse()
+            with pytest.raises(SingularMatrixError):
+                matrix.solve(rhs)
+
+
+def test_one_elimination_serves_every_operation(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    for rows in ([[-2, 1, 0], [1, -2, 1], [0, 1, "-1/2"]], [[0, 1], [1, 0]]):
+        calls.clear()
+        matrix = ExactMatrix.from_rows(rows)
+        n = matrix.n
+        det = matrix.determinant()
+        matrix.leading_principal_minors()
+        inverse = matrix.inverse()
+        assert matrix.solve([1] * n) == inverse.matvec([1] * n)
+        assert matrix.solve(range(n)) == inverse.matvec(range(n))
+        is_negative_definite(matrix)
+        assert matrix.determinant() == det and matrix.inverse() == inverse
+        assert calls == [n], rows
 
 
 def test_negative_definite_examples():

@@ -106,6 +106,26 @@ def test_refined_obstruction_examples():
     assert (third.witness.ord_sub, third.witness.ord_ret_1, third.witness.ord_ret_2) == (1, 1, 1)
 
 
+def test_refined_obstruction_walks_the_charts_once(monkeypatch):
+    import nasharc.valuations as valuations
+
+    cluster = cluster_fixture("chain3")
+    g = parse_poly("y^2 - x^5")
+    expected = [ord_poly(cluster, g, i) for i in (2, 0, 1)]
+    walks = []
+    multiplicities = valuations._multiplicities
+
+    def spy(cluster, g, points):
+        walks.append(points)
+        return multiplicities(cluster, g, points)
+
+    monkeypatch.setattr(valuations, "_multiplicities", spy)
+    verdict = refined_valuative_obstruction(cluster, 2, 0, 1, g)
+    assert len(walks) == 1
+    witness = verdict.witness
+    assert [witness.ord_sub, witness.ord_ret_1, witness.ord_ret_2] == expected
+
+
 def test_refined_obstruction_can_abstain():
     y = parse_poly("y")
     verdict = refined_valuative_obstruction(CHAIN2, 1, 0, 0, y)
