@@ -8,8 +8,10 @@ that parses back to the in-memory report.  Each command computes and
 words only its own result; one skeleton (``_report``) stamps the schema and
 the command, adds the lattice block and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
-downstream; for a cluster the inverse is minus the curvette rows the
-cluster keeps, so no request inverts its lattice twice.
+downstream; for a cluster M comes from simulation and the inverse is minus
+the curvette rows the cluster keeps, which are built from the proximities
+and checked against the simulated M, so no cluster request eliminates for
+its lattice.
 
 Exit codes: 0 analysis completed (the verdict lives inside the report),
 2 input or validation error, 3 internal invariant violation.
@@ -67,6 +69,8 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
@@ -157,8 +161,11 @@ def _report(args, fields: dict, lines: list[str], M=None, inverse=None) -> int:
 
 
 def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list[str]):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(graph.to_dot())
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(graph.to_dot())
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
     lines.append(f"DOT export written to {path}")
     fields["dot_path"] = path
 
@@ -360,6 +367,12 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
         value = doc.get(field)
         if not isinstance(value, list) and (field in ("c", "d") or value is not None):
             raise ValidationError(f"{path}: {field}: expected a list")
+    flags = {}
+    for field in ("minimal_target", "assert_b1_lt_1", "assert_no_lift"):
+        value = doc.get(field, False)
+        if not isinstance(value, bool):
+            raise ValidationError(f"{path}: {field}: expected true or false, got {value!r}")
+        flags[field] = value or getattr(args, field)
     b = doc.get("b")
     coeffs = doc.get("coeffs")
     return WedgeNumericalModel(
@@ -369,9 +382,7 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
         d=tuple(doc["d"]),
         coeffs=None if coeffs is None else tuple(coeffs),
         b=None if b is None else tuple(parse_rational(v) for v in b),
-        minimal_target=bool(doc.get("minimal_target", False)) or args.minimal_target,
-        assert_b1_lt_1=bool(doc.get("assert_b1_lt_1", False)) or args.assert_b1_lt_1,
-        assert_no_lift=bool(doc.get("assert_no_lift", False)) or args.assert_no_lift,
+        **flags,
     )
 
 

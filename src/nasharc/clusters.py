@@ -308,6 +308,16 @@ def intersection_from_proximity(P: ExactMatrix) -> ExactMatrix:
     return P.transpose().mul(P).neg()
 
 
+def _unfold(cluster: BlowupCluster, values) -> list[int]:
+    """P^-1 values, by forward substitution over the proximity lists:
+    out_i = values_i + the sum of out_j over the centers j that i is proximate to."""
+    out = list(values)
+    for i, here in enumerate(cluster.geometry().prox):
+        for j in here:
+            out[i] += out[j]
+    return out
+
+
 def canonical_coeffs(cluster: BlowupCluster) -> tuple[int, ...]:
     """Coefficients of the exceptional canonical divisor of the composite blow-up.
 
@@ -315,10 +325,7 @@ def canonical_coeffs(cluster: BlowupCluster) -> tuple[int, ...]:
     proximate to reproduces how the canonical class gains one plus the
     ambient coefficients under each point blow-up.
     """
-    coeffs: list[int] = []
-    for i in range(cluster.n):
-        coeffs.append(1 + sum(coeffs[j] for j in cluster.proximities(i)))
-    return tuple(coeffs)
+    return tuple(_unfold(cluster, [1] * cluster.n))
 
 
 def germ_touch_count(cluster: BlowupCluster, last: int) -> int:

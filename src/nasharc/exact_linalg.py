@@ -214,10 +214,6 @@ class ExactMatrix:
     def to_doc(self) -> dict:
         return {"n": self.n, "rows": [[format_rational(v) for v in row] for row in self.rows]}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ExactMatrix":
-        return cls.from_rows(doc["rows"])
-
     def __str__(self):
         body = "; ".join(" ".join(format_rational(v) for v in row) for row in self.rows)
         return f"[{body}]"

@@ -77,8 +77,9 @@ class WedgeNumericalModel:
 def solve_b(model: WedgeNumericalModel) -> tuple[Fraction, ...]:
     """The unique b with (a - b) = M^{-1} (c + d), exactly.
 
-    The cluster keeps its curvette rows R = -M^{-1}, so b = a + R (c + d)
-    needs no elimination of its own.
+    The cluster keeps its curvette rows R = -M^{-1}, built as QQ^t from
+    the inverse proximity matrix Q = P^{-1}, so b = a + R (c + d) needs no
+    elimination at all.
     """
     cd = [ci + di for ci, di in zip(model.c, model.d)]
     rows = curvette_order_rows(model.cluster)
@@ -129,73 +130,40 @@ def lifting_verdict(model: WedgeNumericalModel) -> LiftingVerdict:
             "c + d may have negative entries and nothing follows"
         )
     b = solve_b(model)
-    s = model.special
-    a_s = model.a[s]
-    b_s = b[s]
+    a_s = model.a[model.special]
+    b_s = b[model.special]
 
+    lifts = contradiction = False
     if not model.assert_b1_lt_1:
-        return LiftingVerdict(
-            lifts=False,
-            contradiction=False,
-            reason=(
-                f"no transversality assertion; computed b_special = "
-                f"{format_rational(b_s)} places no constraint on the special "
-                f"coefficient a_special = {a_s}"
-            ),
-            b=b,
-            a_special=a_s,
-            b_special=b_s,
+        reason = (
+            f"no transversality assertion; computed b_special = "
+            f"{format_rational(b_s)} places no constraint on the special "
+            f"coefficient a_special = {a_s}"
         )
-
-    if b_s >= 1:
-        return LiftingVerdict(
-            lifts=False,
-            contradiction=True,
-            reason=(
-                f"asserted b_special < 1, but the identity gives b_special = "
-                f"{format_rational(b_s)} >= 1 (it dominates a_special = {a_s}); "
-                f"the model is inconsistent with the transversality assertion"
-            ),
-            b=b,
-            a_special=a_s,
-            b_special=b_s,
+    elif b_s >= 1:
+        contradiction = True
+        reason = (
+            f"asserted b_special < 1, but the identity gives b_special = "
+            f"{format_rational(b_s)} >= 1 (it dominates a_special = {a_s}); "
+            f"the model is inconsistent with the transversality assertion"
         )
-
-    if a_s >= 1:
-        return LiftingVerdict(
-            lifts=False,
-            contradiction=True,
-            reason=(
-                f"computed b_special = {format_rational(b_s)} < 1 forces "
-                f"a_special = 0, but the model carries a_special = {a_s}"
-            ),
-            b=b,
-            a_special=a_s,
-            b_special=b_s,
+    elif a_s >= 1:
+        contradiction = True
+        reason = (
+            f"computed b_special = {format_rational(b_s)} < 1 forces "
+            f"a_special = 0, but the model carries a_special = {a_s}"
         )
-
-    if model.assert_no_lift:
-        return LiftingVerdict(
-            lifts=False,
-            contradiction=True,
-            reason=(
-                "the no-lift assertion requires a positive special coefficient, "
-                "but b_special < 1 forces a_special = 0; the assertions are "
-                "incompatible"
-            ),
-            b=b,
-            a_special=a_s,
-            b_special=b_s,
+    elif model.assert_no_lift:
+        contradiction = True
+        reason = (
+            "the no-lift assertion requires a positive special coefficient, "
+            "but b_special < 1 forces a_special = 0; the assertions are "
+            "incompatible"
         )
-
-    return LiftingVerdict(
-        lifts=True,
-        contradiction=False,
-        reason=(
+    else:
+        lifts = True
+        reason = (
             f"b_special = {format_rational(b_s)} < 1 dominates a_special, a "
             f"non-negative integer, so a_special = 0 and the wedge lifts"
-        ),
-        b=b,
-        a_special=a_s,
-        b_special=b_s,
-    )
+        )
+    return LiftingVerdict(lifts, contradiction, reason, b, a_s, b_s)

@@ -311,29 +311,35 @@ class KnowledgeBase:
         self.path = os.fspath(path)
 
     def _records(self) -> dict[str, KBRecord]:
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            return {}
+        except OSError as exc:
+            raise KnowledgeBaseError(f"cannot read {self.path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise KnowledgeBaseError(f"{self.path} is not UTF-8 text: {exc.reason}") from exc
         records: dict[str, KBRecord] = {}
-        if not os.path.exists(self.path):
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                    record = KBRecord(
-                        doc["key"], ObstructionStatus(doc["status"]), doc.get("provenance", "")
-                    )
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                    raise KnowledgeBaseError(
-                        f"{self.path}:{lineno}: corrupt knowledge-base record: {exc}"
-                    ) from exc
-                previous = records.get(record.key_text)
-                if previous is not None and previous.status is not record.status:
-                    raise KnowledgeBaseError(
-                        f"{self.path}:{lineno}: conflicting verdicts stored for one key"
-                    )
-                records[record.key_text] = record
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                doc = json.loads(line)
+                record = KBRecord(
+                    doc["key"], ObstructionStatus(doc["status"]), doc.get("provenance", "")
+                )
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                raise KnowledgeBaseError(
+                    f"{self.path}:{lineno}: corrupt knowledge-base record: {exc}"
+                ) from exc
+            previous = records.get(record.key_text)
+            if previous is not None and previous.status is not record.status:
+                raise KnowledgeBaseError(
+                    f"{self.path}:{lineno}: conflicting verdicts stored for one key"
+                )
+            records[record.key_text] = record
         return records
 
     def lookup(self, key: CanonicalKey) -> KBRecord | None:
@@ -349,6 +355,9 @@ class KnowledgeBase:
                 )
             return existing
         record = KBRecord(key.as_text(), status, provenance)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+        try:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+        except OSError as exc:
+            raise KnowledgeBaseError(f"cannot write {self.path}: {exc.strerror}") from exc
         return record

@@ -1,19 +1,21 @@
 """Divisorial valuations attached to the components of a blow-up cluster.
 
 Two independent routes to the same numbers live here.  The lattice route
-reads orders of vanishing off the negated inverse intersection matrix: row
-e lists the orders, along the e-th component, of smooth germs transverse
-to each component.  The polynomial route transforms an explicit germ
-through the chart chain of the cluster and accumulates multiplicities of
-strict transforms by the proximity recursion.  Their agreement is one of
-the package's acceptance gates.
+reads orders of vanishing off the curvette rows QQ^t = -M^-1, Q = P^-1,
+checked once per cluster against the simulated lattice M: row e lists the
+orders, along the e-th component, of smooth germs transverse to each
+component.  The polynomial route transforms an explicit germ through the
+chart chain of the cluster and accumulates multiplicities of strict
+transforms by the proximity recursion.  Their agreement is one of the
+package's acceptance gates.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import mul
 
-from .clusters import BlowupCluster, _check_index, closure_indices, simulate
+from .clusters import BlowupCluster, _check_index, _unfold, closure_indices, simulate
 from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
@@ -26,10 +28,18 @@ def cluster_matrix(cluster: BlowupCluster) -> ExactMatrix:
 
 
 def _curvette_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
-    inv = cluster_matrix(cluster).inverse()
-    if not inv.is_integral():
-        raise InternalInvariantError("cluster lattice inverse must be integral")
-    return tuple(tuple(-v for v in row) for row in inv.rows)
+    """QQ^t with Q = P^-1, checked against the simulated lattice: M QQ^t = -I.
+
+    Column k of Q unfolds the k-th unit vector.  Column f of QQ^t unfolds
+    row f of Q, and QQ^t is symmetric, so its columns are its rows.
+    """
+    n = cluster.n
+    q_cols = [_unfold(cluster, [int(i == k) for i in range(n)]) for k in range(n)]
+    rows = tuple(tuple(_unfold(cluster, q_row)) for q_row in zip(*q_cols))
+    for i, m_row in enumerate(cluster_matrix(cluster).rows):
+        if [sum(map(mul, m_row, col)) for col in rows] != [-int(i == j) for j in range(n)]:
+            raise InternalInvariantError("simulated lattice times curvette rows is not -I")
+    return rows
 
 
 def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
@@ -37,8 +47,9 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
 
     Entry (e, i) is the order of vanishing along component e of a germ
     whose strict transform crosses component i transversely at a general
-    point.  Integrality is forced by unimodularity of the lattice, which
-    is inverted once per cluster.
+    point.  The rows are QQ^t with Q = P^-1, integral by construction, and
+    are checked once per cluster against the simulated lattice M: their
+    product must be -I, or InternalInvariantError is raised.
     """
     return cluster.kept(_curvette_rows)
 
@@ -95,11 +106,9 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
 
 
 def _orders(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
-    """Orders of g along ``points``: ord_i = m_i + the orders at the centers i is proximate to."""
-    orders = _multiplicities(cluster, g, points)
-    for i in points:
-        orders[i] += sum(orders[j] for j in cluster.proximities(i))
-    return orders
+    """Orders of g along ``points``: ord_i = m_i + the orders at the centers i is proximate to.
+    The unfold covers every center; callers read only ``points``, which is closed under proximity."""
+    return _unfold(cluster, _multiplicities(cluster, g, points))
 
 
 def multiplicities(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:

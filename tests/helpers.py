@@ -20,7 +20,6 @@ from nasharc import (
     ObstructionStatus,
     closure_indices,
     cluster_matrix,
-    curvette_order_rows,
     minimal_joint_model,
 )
 
@@ -144,7 +143,7 @@ def joint_model_rows(cluster, e: int, f: int):
     obtained by inverting the lattice of their minimal joint model."""
     keep = closure_indices(cluster, e, f)
     index = {old: new for new, old in enumerate(keep)}
-    rows = curvette_order_rows(minimal_joint_model(cluster, e, f))
+    rows = cluster_matrix(minimal_joint_model(cluster, e, f)).inverse().neg().rows
     return keep, rows[index[e]], rows[index[f]]
 
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from helpers import count_eliminations
 
 import nasharc.cli as cli
@@ -205,6 +206,9 @@ def test_dfd_check_schema_errors(tmp_path, capsys):
         ({"b": 5}, "b"),
         ({"special": "1"}, "special"),
         ({"special": True}, "special"),
+        ({"minimal_target": "false"}, "minimal_target"),
+        ({"assert_b1_lt_1": "no"}, "assert_b1_lt_1"),
+        ({"assert_no_lift": 1}, "assert_no_lift"),
     ]
     for change, field in malformed:
         path.write_text(json.dumps({**good, **change}), encoding="utf-8")
@@ -292,6 +296,73 @@ def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeyp
     calls.clear()
     code, _, _ = run_cli(capsys, "graph", "check", "E8")
     assert code == 0 and calls == [8]
+
+
+def test_cluster_requests_eliminate_only_what_their_reports_ask_for(tmp_path, capsys, monkeypatch):
+    # curvette rows come from the proximities; the one sweep left is the
+    # determinant (cluster build) or the returns solve (adj obstruct --returns)
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({
+            "schema": "wedgemodel/1", "cluster": "chain20", "special": 19,
+            "c": [0] * 20, "d": [0] * 19 + [1],
+        }),
+        encoding="utf-8",
+    )
+    expected = [
+        (["cluster", "build", "chain20"], [20]),
+        (["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0"], [3]),
+        (["val", "compare", "chain20", "3", "17"], []),
+        (["val", "ord", "chain5", "4", "--poly", "y - x^3"], []),
+        (["adj", "obstruct", "chain20", "3", "17"], []),
+        (["adj", "table", "chain20"], []),
+        (["dfd", "check", str(model), "--minimal-target", "--assert-b1-lt-1"], []),
+    ]
+    calls = count_eliminations(monkeypatch)
+    for argv, sizes in expected:
+        calls.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert calls == sizes, argv
+
+
+def test_wrong_lattice_fails_the_curvette_row_check(capsys, monkeypatch):
+    import nasharc.valuations as valuations
+    from nasharc import ExactMatrix, InternalInvariantError, curvette_order_rows
+
+    simulated = valuations.cluster_matrix
+
+    def off_by_one(cluster):
+        rows = [list(row) for row in simulated(cluster).rows]
+        rows[0][0] -= 1
+        return ExactMatrix.from_rows(rows)
+
+    monkeypatch.setattr(valuations, "cluster_matrix", off_by_one)
+    with pytest.raises(InternalInvariantError):
+        curvette_order_rows(cluster_fixture("chain5"))
+    code, out, err = run_cli(capsys, "val", "compare", "chain20", "3", "17")
+    assert code == 3 and out == ""
+    assert "invariant" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cluster", "build", "chain2", "--dot", "{missing}/x.dot"),
+        ("graph", "check", "E8", "--export-dot", "{missing}/x.dot"),
+        ("pair", "canon", "chain2", "0", "1", "--kb", "{missing}/kb.jsonl", "--store", "RULED_OUT"),
+        ("pair", "canon", "chain2", "0", "1", "--kb", "{directory}"),
+        ("pair", "canon", "chain2", "0", "1", "--kb", "{latin1}"),
+        ("graph", "check", "{latin1}"),
+    ],
+)
+def test_unusable_files_exit_2(argv, tmp_path, capsys):
+    latin1 = tmp_path / "kb.jsonl"
+    latin1.write_bytes("{\"key\": \"\u00e9\"}\n".encode("latin-1"))
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path, "latin1": latin1}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(tmp_path) in err
 
 
 def test_pair_canon_structured(capsys):

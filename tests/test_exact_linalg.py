@@ -254,7 +254,7 @@ def test_inverse_sign_report():
 def test_doc_roundtrip():
     doc = A2.to_doc()
     assert doc["rows"] == [["-2", "1"], ["1", "-2"]]
-    assert ExactMatrix.from_doc(doc) == A2
+    assert ExactMatrix.from_rows(doc["rows"]) == A2
 
 
 def test_connected_negative_definite_inverse_is_strictly_negative():

@@ -76,6 +76,9 @@ def test_curvette_rows_match_adjugate_oracle():
         oracle = inverse_adjugate(matrix)
         rows = curvette_order_rows(cluster)
         assert [[-v for v in row] for row in oracle] == [list(map(Fraction, r)) for r in rows]
+    # the elimination route, kept only as this oracle for the rows built from the proximities
+    for cluster in (*enumerate_proximity_structures(6), cluster_fixture("chain24")):
+        assert curvette_order_rows(cluster) == cluster_matrix(cluster).inverse().neg().rows
 
 
 def test_ord_poly_examples():
