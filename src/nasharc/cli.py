@@ -117,7 +117,7 @@ def load_cluster_input(source: str) -> BlowupCluster:
 
 def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(","))  # an empty field is refused
     except ValueError as exc:
         raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}") from exc
 

@@ -16,11 +16,10 @@ the inconsistency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .clusters import BlowupCluster, canonical_coeffs
 from .errors import ValidationError
-from .rationals import format_rational
+from .rationals import Rational, format_rational
 from .valuations import curvette_order_rows
 
 
@@ -39,7 +38,7 @@ class WedgeNumericalModel:
     c: tuple[int, ...]
     d: tuple[int, ...]
     coeffs: tuple[int, ...] | None = None
-    b: tuple[Fraction, ...] | None = None
+    b: tuple[Rational, ...] | None = None
     minimal_target: bool = False
     assert_b1_lt_1: bool = False
     assert_no_lift: bool = False
@@ -74,25 +73,23 @@ class WedgeNumericalModel:
         return self.coeffs if self.coeffs is not None else canonical_coeffs(self.cluster)
 
 
-def solve_b(model: WedgeNumericalModel) -> tuple[Fraction, ...]:
+def solve_b(model: WedgeNumericalModel) -> tuple[int, ...]:
     """The unique b with (a - b) = M^{-1} (c + d), exactly.
 
     The cluster keeps its curvette rows R = -M^{-1}, built as QQ^t from
     the inverse proximity matrix Q = P^{-1}, so b = a + R (c + d) needs no
-    elimination at all.
+    elimination at all, and is integral since a, R, c and d are.
     """
     cd = [ci + di for ci, di in zip(model.c, model.d)]
     rows = curvette_order_rows(model.cluster)
-    return tuple(
-        Fraction(ai + sum(r * v for r, v in zip(row, cd))) for ai, row in zip(model.a, rows)
-    )
+    return tuple(ai + sum(r * v for r, v in zip(row, cd)) for ai, row in zip(model.a, rows))
 
 
 def verify_numerical(model: WedgeNumericalModel) -> bool:
     """Check the identity for a supplied b; exact equality, no tolerance."""
     if model.b is None:
         raise ValidationError("verify_numerical needs a supplied b vector")
-    return tuple(Fraction(v) for v in model.b) == solve_b(model)
+    return tuple(model.b) == solve_b(model)
 
 
 @dataclass(frozen=True)
@@ -100,9 +97,9 @@ class LiftingVerdict:
     lifts: bool
     contradiction: bool
     reason: str
-    b: tuple[Fraction, ...]
+    b: tuple[int, ...]
     a_special: int
-    b_special: Fraction
+    b_special: int
 
     def to_doc(self) -> dict:
         return {

@@ -310,12 +310,13 @@ class KnowledgeBase:
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
 
-    def _records(self) -> dict[str, KBRecord]:
+    def _records(self) -> tuple[str, dict[str, KBRecord]]:
+        """The store's text and its records by key text."""
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         except FileNotFoundError:
-            return {}
+            return "", {}
         except OSError as exc:
             raise KnowledgeBaseError(f"cannot read {self.path}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
@@ -340,13 +341,13 @@ class KnowledgeBase:
                     f"{self.path}:{lineno}: conflicting verdicts stored for one key"
                 )
             records[record.key_text] = record
-        return records
+        return text, records
 
     def lookup(self, key: CanonicalKey) -> KBRecord | None:
-        return self._records().get(key.as_text())
+        return self._records()[1].get(key.as_text())
 
     def store(self, key: CanonicalKey, status: ObstructionStatus, provenance: str = "") -> KBRecord:
-        records = self._records()
+        text, records = self._records()
         existing = records.get(key.as_text())
         if existing is not None:
             if existing.status is not status:
@@ -357,7 +358,9 @@ class KnowledgeBase:
         record = KBRecord(key.as_text(), status, provenance)
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record.to_doc(), sort_keys=True) + "\n")
+                # a last record written without its newline must not absorb this one
+                lead = "\n" if text and not text.endswith("\n") else ""
+                handle.write(lead + json.dumps(record.to_doc(), sort_keys=True) + "\n")
         except OSError as exc:
             raise KnowledgeBaseError(f"cannot write {self.path}: {exc.strerror}") from exc
         return record

@@ -13,6 +13,7 @@ package's acceptance gates.
 from __future__ import annotations
 
 import enum
+from itertools import count
 from operator import mul
 
 from .clusters import BlowupCluster, _check_index, _unfold, closure_indices, simulate
@@ -188,17 +189,18 @@ def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
 
 # -- explicit curvette equations --------------------------------------------------
 
-_CURVETTE_TRIES = 8  # general slopes tried before a wrong profile counts as a fault
-
 
 def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     """An explicit germ whose lift crosses component i transversely.
 
-    Built by parametrizing a general direction in the chart at center i,
-    pushing the parametrization down the chart chain, and eliminating the
-    parameter with an exact resultant.  The construction is self-checked:
-    its orders along the proximity closure of i must be column i of the
-    cluster's curvette rows there.
+    One candidate, the line y = s*x in the chart at center i with s the
+    first positive integer slope free on component i, is pushed down the
+    chart chain as (x(t), y(t)) and its parameter eliminated by an exact
+    resultant.  Its orders along the proximity closure of i must be column
+    i of the curvette rows there, else InternalInvariantError.  That holds
+    exactly when x(t) is a monomial (on every tangent cluster of <= 5 points
+    over 0, 1, -1, inf); else another root of x(t) also reaches the origin,
+    e.g. x = t^2 (t + 1), y = t (t + 1) at t = -1.
     """
     keep = closure_indices(cluster, i)
     plan = cluster.kept(_chart_plan)
@@ -206,32 +208,30 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     expect = tuple(rows[k][i] for k in keep)
 
     taken = cluster.geometry().forbidden_slopes(i)
-    candidates = (c for c in range(1, 1 + 50) if c not in taken)
-    for _ in range(_CURVETTE_TRIES):
-        slope = next(candidates)
-        x_t = Poly2.monomial(1, 0)  # parameter t rides in the x slot
-        y_t = Poly2.monomial(1, 0, slope)
-        j = i
-        while j != 0:  # chart maps are applied from the deepest point outward
-            parent, tangent = plan[j]
-            if tangent is None:
-                raise ValidationError(
-                    f"point {j} is free without a tangent parameter; "
-                    f"an explicit curvette equation needs coordinates"
-                )
-            if tangent is INF:
-                x_t, y_t = x_t * y_t, y_t
-            else:
-                x_t, y_t = x_t, x_t * (y_t + Poly2.constant(tangent))
-            j = parent
-        g = _eliminate_parameter(x_t, y_t)
-        orders = _orders(cluster, g, keep)
-        profile = tuple(orders[k] for k in keep)
-        if profile == expect:
-            return g
-    raise InternalInvariantError(
-        f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"
-    )
+    slope = next(c for c in count(1) if c not in taken)
+    x_t = Poly2.monomial(1, 0)  # parameter t rides in the x slot
+    y_t = Poly2.monomial(1, 0, slope)
+    j = i
+    while j != 0:  # chart maps are applied from the deepest point outward
+        parent, tangent = plan[j]
+        if tangent is None:
+            raise ValidationError(
+                f"point {j} is free without a tangent parameter; "
+                f"an explicit curvette equation needs coordinates"
+            )
+        if tangent is INF:
+            x_t, y_t = x_t * y_t, y_t
+        else:
+            x_t, y_t = x_t, x_t * (y_t + Poly2.constant(tangent))
+        j = parent
+    g = _eliminate_parameter(x_t, y_t)
+    orders = _orders(cluster, g, keep)
+    profile = tuple(orders[k] for k in keep)
+    if profile != expect:
+        raise InternalInvariantError(
+            f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"
+        )
+    return g
 
 
 def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
@@ -240,6 +240,11 @@ def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
     X and Y arrive as univariate polynomials written in the x slot of a
     Poly2.  The Sylvester determinant is computed by fraction-free Bareiss
     elimination in the polynomial ring, where every division is exact.
+
+    No pivot vanishes, so rows are never swapped: the pivot of step k is the
+    leading (k+1)-minor; y sits only on the diagonal (dy + s, dy + s) of the
+    q-rows, under a triangular dy x dy block with diagonal lc(X), so each
+    leading k-minor has y^max(0, k - dy) coefficient +-lc(X)^min(k, dy).
     """
     px = {k[0]: v for k, v in x_t.terms.items()}
     py = {k[0]: v for k, v in y_t.terms.items()}
@@ -262,18 +267,11 @@ def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
         raise InternalInvariantError("Sylvester matrix is not square")
 
     prev = Poly2.constant(1)
-    sign = 1
     for k in range(n - 1):
-        if rows[k][k].is_zero():
-            swap = next((r for r in range(k + 1, n) if not rows[r][k].is_zero()), None)
-            if swap is None:
-                return Poly2()
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
+        pivot = rows[k][k]  # a nonzero leading minor: y sits on the q-row diagonal
         for r in range(k + 1, n):
             for c in range(k + 1, n):
                 rows[r][c] = (rows[r][c] * pivot - rows[r][k] * rows[k][c]).exact_div(prev)
             rows[r][k] = Poly2()
         prev = pivot
-    return rows[n - 1][n - 1].scale(sign)
+    return rows[n - 1][n - 1]

@@ -240,6 +240,31 @@ def test_pair_canon_kb_flow(tmp_path, capsys):
     assert code == 2 and "conflicts" in err
 
 
+def test_pair_canon_stores_after_a_record_without_newline(tmp_path, capsys):
+    kb = tmp_path / "kb.jsonl"
+    first = ("pair", "canon", "chain2", "0", "1", "--kb", str(kb))
+    second = ("pair", "canon", "chain3", "0", "2", "--kb", str(kb))
+    assert run_cli(capsys, *first, "--store", "NOT_RULED_OUT")[0] == 0
+    kb.write_text(kb.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+    assert run_cli(capsys, *second, "--store", "RULED_OUT")[0] == 0
+    for argv, verdict in ((first, "NOT_RULED_OUT"), (second, "RULED_OUT")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and f"hit, verdict {verdict}" in out, err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("euler", "bound", "A2", "--coeffs", "1,,1", "--attach", "0"), "--coeffs"),
+        (("adj", "obstruct", "chain3", "0", "2", "--returns", ",0,0,0,"), "--returns"),
+    ],
+)
+def test_empty_csv_fields_are_refused(argv, flag, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
+
+
 def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "pair", "canon", "chain2", "0", "1", "--store", "RULED_OUT")

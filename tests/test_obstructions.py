@@ -292,6 +292,26 @@ def test_knowledge_base_corrupt_file(tmp_path):
         KnowledgeBase(path).lookup(canonical_key(pair_graph(CHAIN2, 0, 1)))
     assert ":2:" in str(err.value)
 
+    torn = '{"key": "k", "status": "RULED_OUT"}\n{"key": "j", "sta'  # a torn last append
+    path.write_text(torn, encoding="utf-8")
+    with pytest.raises(KnowledgeBaseError) as err:
+        KnowledgeBase(path).store(canonical_key(pair_graph(CHAIN2, 0, 1)), ObstructionStatus.RULED_OUT)
+    assert ":2:" in str(err.value)
+    assert path.read_text(encoding="utf-8") == torn
+
+
+def test_knowledge_base_store_after_a_record_without_newline(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    first = canonical_key(pair_graph(CHAIN2, 0, 1))
+    KnowledgeBase(path).store(first, ObstructionStatus.NOT_RULED_OUT)
+    path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+    kb = KnowledgeBase(path)
+    second = canonical_key(pair_graph(SATELLITE, 0, 2))
+    kb.store(second, ObstructionStatus.RULED_OUT)
+    assert kb.lookup(first).status is ObstructionStatus.NOT_RULED_OUT
+    assert kb.lookup(second).status is ObstructionStatus.RULED_OUT
+    assert path.read_text(encoding="utf-8").count("\n") == 2
+
 
 def test_verdict_documents_are_machine_readable():
     verdict = valuative_obstruction(CHAIN2, 1, 0)

@@ -1,32 +1,59 @@
-"""Property net for cluster lattices up to ``MAX_POINTS`` centers.
+"""Property net for clusters up to ``MAX_POINTS`` centers.
 
 Clusters grow the way the enumerators grow them: each new center is free
-on an existing component or a satellite on a surviving intersection.
-Every drawn cluster is checked; none is filtered out.  The run is
-derandomized with a fixed example budget, so it is reproducible.
+on an existing component or a satellite on a surviving intersection.  A
+free center either has no tangent, or takes one from a pool of rationals
+and inf that is not already taken on its component.  Every drawn cluster
+is checked; none is filtered out.  The runs are derandomized with a fixed
+example budget, so they are reproducible.
 """
+
+from fractions import Fraction
+from operator import add, mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nasharc import (
+    INF,
     BlowupCluster,
     ClusterPoint,
+    canonical_key,
     cluster_matrix,
     curvette_order_rows,
     intersection_from_proximity,
+    pair_graph,
+    parse_poly,
     proximity_matrix,
+    strict_transform_profile,
 )
 from nasharc.clusters import MAX_POINTS
+from nasharc.valuations import ord_vector
+
+TANGENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3), INF)
+GERMS = tuple(
+    parse_poly(text)
+    for text in ("x", "y - x", "y^2 - x^3", "3*y + 2*x", "y^3 - 2/3*x^2*y + 5/7*x^4", "x^2 - 4*y^3")
+)
 
 
 @st.composite
-def clusters(draw):
+def clusters(draw, pool=None):
+    """Clusters of 1..MAX_POINTS centers; free centers take tangents from ``pool`` if given."""
     size = draw(st.integers(1, MAX_POINTS))
     cluster = BlowupCluster((ClusterPoint(),))
     while cluster.n < size:
-        free = [ClusterPoint(parent) for parent in range(cluster.n)]
-        satellites = [ClusterPoint(hi, lo) for lo, hi in cluster.geometry().edges]
+        geom = cluster.geometry()
+        if pool is None:
+            free = [ClusterPoint(parent) for parent in range(cluster.n)]
+        else:
+            free = [
+                ClusterPoint(parent, None, t)
+                for parent in range(cluster.n)
+                for t in pool
+                if t not in geom.forbidden_slopes(parent)
+            ]
+        satellites = [ClusterPoint(hi, lo) for lo, hi in geom.edges]
         point = draw(st.sampled_from(free + satellites))
         cluster = BlowupCluster(cluster.points + (point,))
     return cluster
@@ -41,3 +68,27 @@ def test_cluster_lattices(cluster):
     rows = curvette_order_rows(cluster)
     assert rows == M.inverse().neg().rows
     assert all(v > 0 for row in rows for v in row)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    clusters(TANGENTS),
+    st.sampled_from(GERMS),
+    st.sampled_from(GERMS),
+    st.randoms(use_true_random=False),
+)
+def test_tangent_clusters_chart_orders_and_keys(cluster, g, h, rng):
+    """Chart orders equal lattice orders and add up on a product of germs;
+    the canonical key of a pair graph survives a relabelling."""
+    rows = curvette_order_rows(cluster)
+    orders = []
+    for germ in (g, h):
+        profile = strict_transform_profile(cluster, germ)
+        orders.append(ord_vector(cluster, germ))
+        assert orders[-1] == tuple(sum(map(mul, row, profile)) for row in rows)
+    assert ord_vector(cluster, g * h) == tuple(map(add, *orders))
+
+    graph = pair_graph(cluster, rng.randrange(cluster.n), rng.randrange(cluster.n))
+    ids = list(graph.ids)
+    relabelled = graph.relabel(dict(zip(ids, rng.sample(ids, len(ids)))))
+    assert canonical_key(relabelled) == canonical_key(graph)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement, count, product
 
 import pytest
 from helpers import inverse_adjugate
@@ -8,6 +8,7 @@ from nasharc import (
     INF,
     BlowupCluster,
     Comparison,
+    InternalInvariantError,
     Poly2,
     ValidationError,
     cluster_fixture,
@@ -23,6 +24,7 @@ from nasharc import (
     parse_poly,
     strict_transform_profile,
 )
+from nasharc import valuations
 from nasharc.valuations import ord_vector
 
 CHAIN2 = cluster_fixture("chain2")
@@ -183,6 +185,43 @@ def test_curvette_polynomial_needs_tangents():
     bare = BlowupCluster.from_specs([(None,), (0,)])
     with pytest.raises(ValidationError):
         curvette_polynomial(bare, 1)
+
+
+def test_curvette_polynomial_eliminates_once(monkeypatch):
+    """One candidate per call: a supported point and a failing one each cost one resultant."""
+    calls = []
+    eliminate = valuations._eliminate_parameter
+
+    def spy(x_t, y_t):
+        calls.append(x_t)
+        return eliminate(x_t, y_t)
+
+    monkeypatch.setattr(valuations, "_eliminate_parameter", spy)
+    curvette_polynomial(cluster_fixture("chain4"), 3)
+    assert len(calls) == 1
+    # a free point beyond a tangent-inf chart: x(t) = t^2 (t + 1) has a second root
+    two_branches = BlowupCluster.from_specs([(None,), (0, None, INF), (0, None, 0), (1, None, 1)])
+    with pytest.raises(InternalInvariantError):
+        curvette_polynomial(two_branches, 3)
+    assert len(calls) == 2
+    assert calls[1] == parse_poly("x^3 + x^2")
+
+
+def test_parameter_elimination_meets_no_zero_pivot():
+    """Res_t(X(t) - x, Y(t) - y) vanishes along (X(t), Y(t)) for every nonconstant
+    X of degree <= 3 and Y of degree <= 2 with coefficients in {-1, 0, 1}.
+    The elimination never swaps rows, so a zero pivot would break this."""
+
+    def univariates(degree):
+        for coeffs in product((-1, 0, 1), repeat=degree + 1):
+            if any(coeffs[1:]):
+                yield Poly2({(d, 0): c for d, c in enumerate(coeffs) if c})
+
+    for X, Y in product(univariates(3), list(univariates(2))):
+        g = valuations._eliminate_parameter(X, Y)
+        assert max(b for _, b in g.terms) == max(a for a, _ in X.terms)
+        for t in range(-2, 3):
+            assert g.evaluate(X.evaluate(t, 0), Y.evaluate(t, 0)) == 0, (X, Y, g)
 
 
 def test_rational_tangents_and_germs_agree_with_lattice_route():
