@@ -415,9 +415,7 @@ def pair_graph(cluster: BlowupCluster, e: int, f: int) -> DualGraph:
 # -- enumeration and fixtures -------------------------------------------------
 
 
-def enumerate_proximity_structures(
-    max_points: int, min_points: int = 1
-) -> Iterator[BlowupCluster]:
+def enumerate_proximity_structures(max_points: int) -> Iterator[BlowupCluster]:
     """Every proximity structure on at most ``max_points`` centers, tangent-free.
 
     Each new center is either free on one of the existing components or a
@@ -426,12 +424,11 @@ def enumerate_proximity_structures(
     """
     if max_points > MAX_POINTS:
         raise ValidationError(f"enumeration capped at {MAX_POINTS} points")
-    if max_points < max(1, min_points):
-        raise ValidationError(f"max_points {max_points} is below 1 or below min_points {min_points}")
+    if max_points < 1:
+        raise ValidationError(f"max_points {max_points} is below 1")
 
     def rec(cluster: BlowupCluster):
-        if cluster.n >= min_points:
-            yield cluster
+        yield cluster
         if cluster.n == max_points:
             return
         free = [ClusterPoint(parent) for parent in range(cluster.n)]

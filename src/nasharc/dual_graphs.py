@@ -23,6 +23,11 @@ def _id_key(vid: VertexId):
     return (0, vid) if isinstance(vid, int) else (1, vid)
 
 
+def _dot_quote(value) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _norm_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
     return (a, b) if _id_key(a) <= _id_key(b) else (b, a)
 
@@ -160,9 +165,10 @@ class DualGraph:
         for v in self.vertices:
             tags = "".join(f" {t}" for t in sorted(v.labels))
             extra = f", genus {v.genus}" if v.genus else ""
-            lines.append(f'  "{v.id}" [label="{v.id}: {v.self_int}{extra}{tags}"];')
+            label = _dot_quote(f"{v.id}: {v.self_int}{extra}{tags}")
+            lines.append(f"  {_dot_quote(v.id)} [label={label}];")
         for a, b in self.edges:
-            lines.append(f'  "{a}" -- "{b}";')
+            lines.append(f"  {_dot_quote(a)} -- {_dot_quote(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

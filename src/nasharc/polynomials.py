@@ -128,6 +128,25 @@ class Poly2:
         """Total transform in the chart (x, y) -> (x*y, y)."""
         return Poly2({(a, a + b): coef for (a, b), coef in self.terms.items()})
 
+    def blow_down_free(self, c: Rational) -> "Poly2":
+        """Image under the chart (x, y) -> (x, x*(y + c)): x^d h(x, y/x - c), d = deg_y h,
+        rid of its largest power of x (the exceptional divisor)."""
+        d = max(b for _, b in self.terms)
+        out: dict[Monomial, Rational] = {}
+        for (a, b), coef in self.terms.items():
+            for k in range(b + 1):
+                key = (a + d - k, k)
+                out[key] = out.get(key, 0) + coef * comb(b, k) * (-c) ** (b - k)
+        image = Poly2(out)
+        return image.divide_power(0, min(a for a, _ in image.terms))
+
+    def blow_down_inf(self) -> "Poly2":
+        """Image under the chart (x, y) -> (x*y, y): y^d h(x/y, y), d = deg_x h,
+        rid of its largest power of y (the exceptional divisor)."""
+        d = max(a for a, _ in self.terms)
+        image = Poly2({(a, b + d - a): coef for (a, b), coef in self.terms.items()})
+        return image.divide_power(1, min(b for _, b in image.terms))
+
     def divide_power(self, var: int, m: int) -> "Poly2":
         """Exact division by x^m or y^m (var 0 or 1); exactness is a theorem."""
         if m == 0:
@@ -139,7 +158,7 @@ class Poly2:
         da, db = (m, 0) if var == 0 else (0, m)
         return Poly2({(a - da, b - db): c for (a, b), c in self.terms.items()})
 
-    # -- exact multivariate division (used by the resultant) --------------------
+    # -- exact multivariate division (no caller in the library; kept as API) ----
 
     def leading_term(self) -> tuple[Monomial, Rational]:
         key = max(self.terms)

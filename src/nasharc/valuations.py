@@ -13,6 +13,7 @@ package's acceptance gates.
 from __future__ import annotations
 
 import enum
+from fractions import Fraction
 from itertools import count
 from operator import mul
 
@@ -193,14 +194,18 @@ def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
 def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     """An explicit germ whose lift crosses component i transversely.
 
-    One candidate, the line y = s*x in the chart at center i with s the
+    One candidate, the line y - s*x in the chart at center i with s the
     first positive integer slope free on component i, is pushed down the
-    chart chain as (x(t), y(t)) and its parameter eliminated by an exact
-    resultant.  Its orders along the proximity closure of i must be column
-    i of the curvette rows there, else InternalInvariantError.  That holds
-    exactly when x(t) is a monomial (on every tangent cluster of <= 5 points
-    over 0, 1, -1, inf); else another root of x(t) also reaches the origin,
-    e.g. x = t^2 (t + 1), y = t (t + 1) at t = -1.
+    chart chain by its equation: each chart map is birational, so the image
+    of a curve is its equation substituted back and rid of the exceptional
+    divisor.  The germ is scaled as the resultant Res_t(x(t) - x, y(t) - y)
+    of the line's pushed-down parametrization, whose degrees may sum to at
+    most 24, else ValidationError.  Its orders along the proximity closure
+    of i must be column i of the curvette rows there, else
+    InternalInvariantError.  That holds exactly when x(t) is a monomial (on
+    every tangent cluster of <= 5 points over 0, 1, -1, inf); else another
+    root of x(t) also reaches the origin, e.g. x = t^2 (t + 1), y = t (t + 1)
+    at t = -1.
     """
     keep = closure_indices(cluster, i)
     plan = cluster.kept(_chart_plan)
@@ -209,8 +214,8 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
 
     taken = cluster.geometry().forbidden_slopes(i)
     slope = next(c for c in count(1) if c not in taken)
-    x_t = Poly2.monomial(1, 0)  # parameter t rides in the x slot
-    y_t = Poly2.monomial(1, 0, slope)
+    g = Poly2({(0, 1): 1, (1, 0): -slope})
+    dx, dy, lx, ly = 1, 1, 1, slope  # degrees and leading coefficients of x(t), y(t)
     j = i
     while j != 0:  # chart maps are applied from the deepest point outward
         parent, tangent = plan[j]
@@ -220,11 +225,14 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
                 f"an explicit curvette equation needs coordinates"
             )
         if tangent is INF:
-            x_t, y_t = x_t * y_t, y_t
+            g, dx, lx = g.blow_down_inf(), dx + dy, lx * ly
         else:
-            x_t, y_t = x_t, x_t * (y_t + Poly2.constant(tangent))
+            g, dy, ly = g.blow_down_free(tangent), dx + dy, lx * ly
+        if dx + dy > 24:
+            raise ValidationError("explicit curvettes are limited to parametrizations of total degree 24")
         j = parent
-    g = _eliminate_parameter(x_t, y_t)
+    # the resultant's pure y^dx coefficient is lc(x(t))^dy times (-1)^dx from the y(t) - y factors
+    g = g.scale(Fraction((-1) ** dx * lx**dy) / g.terms[(0, dx)])
     orders = _orders(cluster, g, keep)
     profile = tuple(orders[k] for k in keep)
     if profile != expect:
@@ -232,46 +240,3 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
             f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"
         )
     return g
-
-
-def _eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
-    """Resultant in t of x - X(t) and y - Y(t), over exact bivariate entries.
-
-    X and Y arrive as univariate polynomials written in the x slot of a
-    Poly2.  The Sylvester determinant is computed by fraction-free Bareiss
-    elimination in the polynomial ring, where every division is exact.
-
-    No pivot vanishes, so rows are never swapped: the pivot of step k is the
-    leading (k+1)-minor; y sits only on the diagonal (dy + s, dy + s) of the
-    q-rows, under a triangular dy x dy block with diagonal lc(X), so each
-    leading k-minor has y^max(0, k - dy) coefficient +-lc(X)^min(k, dy).
-    """
-    px = {k[0]: v for k, v in x_t.terms.items()}
-    py = {k[0]: v for k, v in y_t.terms.items()}
-    dx = max(px) if px else 0
-    dy = max(py) if py else 0
-    if dx + dy > 24:
-        raise ValidationError("parameter elimination is limited to small chart chains")
-    # coefficient lists of X(t) - x and Y(t) - y, highest degree first
-    p = [Poly2.constant(px.get(d, 0)) for d in range(dx, -1, -1)]
-    p[-1] = p[-1] - Poly2.variable("x")
-    q = [Poly2.constant(py.get(d, 0)) for d in range(dy, -1, -1)]
-    q[-1] = q[-1] - Poly2.variable("y")
-    n = dx + dy
-    rows: list[list[Poly2]] = []
-    for shift in range(dy):
-        rows.append([Poly2()] * shift + p + [Poly2()] * (dy - 1 - shift))
-    for shift in range(dx):
-        rows.append([Poly2()] * shift + q + [Poly2()] * (dx - 1 - shift))
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise InternalInvariantError("Sylvester matrix is not square")
-
-    prev = Poly2.constant(1)
-    for k in range(n - 1):
-        pivot = rows[k][k]  # a nonzero leading minor: y sits on the q-row diagonal
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                rows[r][c] = (rows[r][c] * pivot - rows[r][k] * rows[k][c]).exact_div(prev)
-            rows[r][k] = Poly2()
-        prev = pivot
-    return rows[n - 1][n - 1]

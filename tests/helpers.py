@@ -4,20 +4,26 @@ The oracles here deliberately avoid the code paths they check: cofactor
 expansion instead of Bareiss elimination, Cramer's rule instead of
 Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
-rows.  `count_eliminations` is a spy on the elimination kernel.
+rows, and a Sylvester resultant of a pushed-down parametrization instead
+of pushing a curvette's equation down the charts.  `count_eliminations` is
+a spy on the elimination kernel.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
 
 from nasharc import (
     Comparison,
     CurvetteWitness,
     DualGraph,
     ExactMatrix,
+    InternalInvariantError,
     ObstructionStatus,
+    Poly2,
+    ValidationError,
     closure_indices,
     cluster_matrix,
     minimal_joint_model,
@@ -176,3 +182,65 @@ def solve_b_by_inverse(model) -> tuple[Fraction, ...]:
     cd = tuple(ci + di for ci, di in zip(model.c, model.d))
     rhs = cluster_matrix(model.cluster).inverse().matvec(cd)
     return tuple(Fraction(ai) - ri for ai, ri in zip(model.a, rhs))
+
+
+def pushed_parametrization(cluster, i: int) -> tuple[Poly2, Poly2]:
+    """(x(t), y(t)) of the line y = s*x at center i, with s the first positive
+    integer slope free on component i, pushed down the chart chain by the chart
+    maps; t rides in the x slot.  Every free point needs a tangent."""
+    geom = cluster.geometry()
+    slope = next(s for s in count(1) if s not in geom.forbidden_slopes(i))
+    x_t, y_t = Poly2.monomial(1, 0), Poly2.monomial(1, 0, slope)
+    while i != 0:
+        kind = geom.kinds[i]
+        if kind == "free":
+            y_t = x_t * (y_t + Poly2.constant(cluster.points[i].tangent))
+        elif kind == "sat_y":
+            y_t = x_t * y_t
+        else:  # free_inf, sat_x
+            x_t = x_t * y_t
+        i = max(cluster.proximities(i))
+    return x_t, y_t
+
+
+def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
+    """Resultant in t of X(t) - x and Y(t) - y, over exact bivariate entries.
+
+    X and Y arrive as univariate polynomials written in the x slot of a
+    Poly2.  The Sylvester determinant is computed by fraction-free Bareiss
+    elimination in the polynomial ring, where every division is exact.
+
+    No pivot vanishes, so rows are never swapped: the pivot of step k is the
+    leading (k+1)-minor; y sits only on the diagonal (dy + s, dy + s) of the
+    q-rows, under a triangular dy x dy block with diagonal lc(X), so each
+    leading k-minor has y^max(0, k - dy) coefficient +-lc(X)^min(k, dy).
+    """
+    px = {k[0]: v for k, v in x_t.terms.items()}
+    py = {k[0]: v for k, v in y_t.terms.items()}
+    dx = max(px) if px else 0
+    dy = max(py) if py else 0
+    if dx + dy > 24:
+        raise ValidationError("parameter elimination is limited to small chart chains")
+    # coefficient lists of X(t) - x and Y(t) - y, highest degree first
+    p = [Poly2.constant(px.get(d, 0)) for d in range(dx, -1, -1)]
+    p[-1] = p[-1] - Poly2.variable("x")
+    q = [Poly2.constant(py.get(d, 0)) for d in range(dy, -1, -1)]
+    q[-1] = q[-1] - Poly2.variable("y")
+    n = dx + dy
+    rows: list[list[Poly2]] = []
+    for shift in range(dy):
+        rows.append([Poly2()] * shift + p + [Poly2()] * (dy - 1 - shift))
+    for shift in range(dx):
+        rows.append([Poly2()] * shift + q + [Poly2()] * (dx - 1 - shift))
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InternalInvariantError("Sylvester matrix is not square")
+
+    prev = Poly2.constant(1)
+    for k in range(n - 1):
+        pivot = rows[k][k]  # a nonzero leading minor: y sits on the q-row diagonal
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                rows[r][c] = (rows[r][c] * pivot - rows[r][k] * rows[k][c]).exact_div(prev)
+            rows[r][k] = Poly2()
+        prev = pivot
+    return rows[n - 1][n - 1]

@@ -151,3 +151,12 @@ def test_dot_export_mentions_every_vertex():
     graph = standard_fixture("A2").with_labels({1: ("F",)})
     dot = graph.to_dot()
     assert '"0"' in dot and '"1"' in dot and "--" in dot and "F" in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    graph = DualGraph.build([('a"b', -2, 0, ['F"x']), ("c\\", -1)], [('a"b', "c\\")])
+    assert graph.to_dot().splitlines()[1:4] == [
+        '  "a\\"b" [label="a\\"b: -2 F\\"x"];',
+        '  "c\\\\" [label="c\\\\: -1"];',
+        '  "a\\"b" -- "c\\\\";',
+    ]

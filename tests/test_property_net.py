@@ -11,6 +11,8 @@ example budget, so they are reproducible.
 from fractions import Fraction
 from operator import add, mul
 
+import pytest
+from helpers import eliminate_parameter, pushed_parametrization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +20,12 @@ from nasharc import (
     INF,
     BlowupCluster,
     ClusterPoint,
+    InternalInvariantError,
+    ValidationError,
     canonical_key,
     cluster_matrix,
     curvette_order_rows,
+    curvette_polynomial,
     intersection_from_proximity,
     pair_graph,
     parse_poly,
@@ -92,3 +97,22 @@ def test_tangent_clusters_chart_orders_and_keys(cluster, g, h, rng):
     ids = list(graph.ids)
     relabelled = graph.relabel(dict(zip(ids, rng.sample(ids, len(ids)))))
     assert canonical_key(relabelled) == canonical_key(graph)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_tangent_clusters_curvette_at_a_drawn_point(data):
+    """The explicit curvette is the resultant of its pushed-down parametrization,
+    or is refused by size, or fails its self-check exactly when x(t) is not a monomial."""
+    cluster = data.draw(clusters(TANGENTS))
+    i = data.draw(st.integers(0, cluster.n - 1))
+    x_t, y_t = pushed_parametrization(cluster, i)
+    dx, dy = (max(a for a, _ in p.terms) for p in (x_t, y_t))
+    if dx + dy > 24:
+        with pytest.raises(ValidationError):
+            curvette_polynomial(cluster, i)
+    elif len(x_t.terms) > 1:
+        with pytest.raises(InternalInvariantError):
+            curvette_polynomial(cluster, i)
+    else:
+        assert curvette_polynomial(cluster, i) == eliminate_parameter(x_t, y_t)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, count, product
 
 import pytest
-from helpers import inverse_adjugate
+from helpers import eliminate_parameter, inverse_adjugate, pushed_parametrization
 
 from nasharc import (
     INF,
@@ -188,15 +188,15 @@ def test_curvette_polynomial_needs_tangents():
 
 
 def test_curvette_polynomial_eliminates_once(monkeypatch):
-    """One candidate per call: a supported point and a failing one each cost one resultant."""
+    """One candidate per call: a supported point and a failing one each cost one self-check."""
     calls = []
-    eliminate = valuations._eliminate_parameter
+    orders = valuations._orders
 
-    def spy(x_t, y_t):
-        calls.append(x_t)
-        return eliminate(x_t, y_t)
+    def spy(cluster, g, points):
+        calls.append(g)
+        return orders(cluster, g, points)
 
-    monkeypatch.setattr(valuations, "_eliminate_parameter", spy)
+    monkeypatch.setattr(valuations, "_orders", spy)
     curvette_polynomial(cluster_fixture("chain4"), 3)
     assert len(calls) == 1
     # a free point beyond a tangent-inf chart: x(t) = t^2 (t + 1) has a second root
@@ -204,7 +204,7 @@ def test_curvette_polynomial_eliminates_once(monkeypatch):
     with pytest.raises(InternalInvariantError):
         curvette_polynomial(two_branches, 3)
     assert len(calls) == 2
-    assert calls[1] == parse_poly("x^3 + x^2")
+    assert pushed_parametrization(two_branches, 3)[0] == parse_poly("x^3 + x^2")
 
 
 def test_parameter_elimination_meets_no_zero_pivot():
@@ -218,10 +218,34 @@ def test_parameter_elimination_meets_no_zero_pivot():
                 yield Poly2({(d, 0): c for d, c in enumerate(coeffs) if c})
 
     for X, Y in product(univariates(3), list(univariates(2))):
-        g = valuations._eliminate_parameter(X, Y)
+        g = eliminate_parameter(X, Y)
         assert max(b for _, b in g.terms) == max(a for a, _ in X.terms)
         for t in range(-2, 3):
             assert g.evaluate(X.evaluate(t, 0), Y.evaluate(t, 0)) == 0, (X, Y, g)
+
+
+def test_curvette_polynomial_equals_the_resultant_oracle():
+    """At every supported point the pushed-down equation is the Sylvester resultant
+    of the pushed-down parametrization, scale included; elsewhere the self-check fails."""
+    checked = 0
+    for pool in (TANGENT_POOL, (Fraction(1, 2), Fraction(-2, 3), Fraction(3), INF)):
+        for structure in enumerate_proximity_structures(4):
+            for cluster in enumerate_tangent_assignments(structure, pool):
+                for i in range(cluster.n):
+                    if _curvette_supported(cluster, i):
+                        assert curvette_polynomial(cluster, i) == eliminate_parameter(
+                            *pushed_parametrization(cluster, i)
+                        ), (cluster, i)
+                        checked += 1
+                    else:
+                        with pytest.raises(InternalInvariantError):
+                            curvette_polynomial(cluster, i)
+    assert checked == 1155 + 1227
+    chain24 = cluster_fixture("chain24")
+    for i in range(23):
+        assert curvette_polynomial(chain24, i) == eliminate_parameter(*pushed_parametrization(chain24, i))
+    with pytest.raises(ValidationError, match="total degree 24"):
+        curvette_polynomial(chain24, 23)
 
 
 def test_rational_tangents_and_germs_agree_with_lattice_route():
