@@ -26,8 +26,12 @@ Conventions fixed by this module:
 from __future__ import annotations
 
 import enum
+import fcntl
 import json
 import os
+import threading
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -303,26 +307,64 @@ class KnowledgeBase:
     Topologically equivalent pairs share a key, so a stored verdict
     transfers to every pair with the same decorated graph.  Conflicting
     verdicts for one key are rejected outright; facts are never
-    overwritten.  Writes must be serialized by the caller; reads are safe
-    to run concurrently.
+    overwritten.
+
+    The file is indexed once per instance.  Every later ``lookup`` or
+    ``store`` opens it, takes an ``fcntl.flock`` lock (shared to look up,
+    exclusive to store) and parses only the newline-terminated lines
+    appended past the offset already indexed, so records filed by other
+    writers stay visible.  A file that shrank or was replaced (another
+    device or inode) is indexed again from its first byte.  An
+    unterminated last line is parsed on every call and never indexed.
+    ``store`` looks up and appends under the exclusive lock, then flushes
+    and fsyncs, so writers on one file never interleave their lines or
+    file opposite verdicts for one key.  ``fcntl`` makes this POSIX-only.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
+        self._mutex = threading.Lock()  # guards the index below
+        self._records: dict[str, KBRecord] = {}
+        self._file: tuple[int, int] | None = None  # (st_dev, st_ino) indexed
+        self._offset = 0  # bytes indexed, ending with a newline
+        self._lines = 0  # lines indexed
 
-    def _records(self) -> tuple[str, dict[str, KBRecord]]:
-        """The store's text and its records by key text."""
+    def _refresh(self, handle, lock: int) -> tuple[Mapping[str, KBRecord], bool]:
+        """Lock ``handle``; the records on file by key text, and whether the
+        file ends inside a line."""
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except FileNotFoundError:
-            return "", {}
+            fcntl.flock(handle, lock)
+            st = os.fstat(handle.fileno())
+            if (st.st_dev, st.st_ino) != self._file or st.st_size < self._offset:
+                self._records, self._offset, self._lines = {}, 0, 0
+                self._file = (st.st_dev, st.st_ino)
+            if st.st_size == self._offset:
+                return self._records, False
+            handle.seek(self._offset)
+            data = handle.read()
         except OSError as exc:
             raise KnowledgeBaseError(f"cannot read {self.path}: {exc.strerror}") from exc
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            fresh, lines = self._parse(data[:cut], self._lines + 1)
+            self._records.update(fresh)
+            self._offset += cut
+            self._lines += lines
+        if cut == len(data):
+            return self._records, False
+        tail, _ = self._parse(data[cut:], self._lines + 1)
+        # a text-mode read ends a line at "\r" too
+        return ChainMap(tail, self._records), not data.endswith(b"\r")
+
+    def _parse(self, data: bytes, first_line: int) -> tuple[dict[str, KBRecord], int]:
+        """The records on the lines of ``data``, numbered from ``first_line``
+        and checked against the index, and the number of lines ended."""
+        try:
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except UnicodeDecodeError as exc:
             raise KnowledgeBaseError(f"{self.path} is not UTF-8 text: {exc.reason}") from exc
-        records: dict[str, KBRecord] = {}
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        records = ChainMap({}, self._records)
+        for lineno, line in enumerate(text.split("\n"), start=first_line):
             line = line.strip()
             if not line:
                 continue
@@ -341,26 +383,44 @@ class KnowledgeBase:
                     f"{self.path}:{lineno}: conflicting verdicts stored for one key"
                 )
             records[record.key_text] = record
-        return text, records
+        return records.maps[0], text.count("\n")
 
     def lookup(self, key: CanonicalKey) -> KBRecord | None:
-        return self._records()[1].get(key.as_text())
+        with self._mutex:
+            try:
+                handle = open(self.path, "rb")
+            except FileNotFoundError:
+                self._file = None
+                return None
+            except OSError as exc:
+                raise KnowledgeBaseError(f"cannot read {self.path}: {exc.strerror}") from exc
+            with handle:
+                records, _ = self._refresh(handle, fcntl.LOCK_SH)
+            return records.get(key.as_text())
 
     def store(self, key: CanonicalKey, status: ObstructionStatus, provenance: str = "") -> KBRecord:
-        text, records = self._records()
-        existing = records.get(key.as_text())
-        if existing is not None:
-            if existing.status is not status:
-                raise KnowledgeBaseConflict(
-                    f"stored verdict {existing.status.value} conflicts with {status.value}"
-                )
-            return existing
-        record = KBRecord(key.as_text(), status, provenance)
-        try:
-            with open(self.path, "a", encoding="utf-8") as handle:
+        with self._mutex:
+            try:
+                handle = open(self.path, "a+b")
+            except OSError as exc:
+                raise KnowledgeBaseError(f"cannot write {self.path}: {exc.strerror}") from exc
+            with handle:
+                records, open_line = self._refresh(handle, fcntl.LOCK_EX)
+                existing = records.get(key.as_text())
+                if existing is not None:
+                    if existing.status is not status:
+                        raise KnowledgeBaseConflict(
+                            f"stored verdict {existing.status.value} conflicts with {status.value}"
+                        )
+                    return existing
+                record = KBRecord(key.as_text(), status, provenance)
                 # a last record written without its newline must not absorb this one
-                lead = "\n" if text and not text.endswith("\n") else ""
-                handle.write(lead + json.dumps(record.to_doc(), sort_keys=True) + "\n")
-        except OSError as exc:
-            raise KnowledgeBaseError(f"cannot write {self.path}: {exc.strerror}") from exc
-        return record
+                lead = "\n" if open_line else ""
+                line = lead + json.dumps(record.to_doc(), sort_keys=True) + "\n"
+                try:
+                    handle.write(line.encode("utf-8"))
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                except OSError as exc:
+                    raise KnowledgeBaseError(f"cannot write {self.path}: {exc.strerror}") from exc
+            return record

@@ -1,9 +1,13 @@
+import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
 from helpers import compare_joint_model, obstruction_joint_model, solve_cramer
 
 from nasharc import (
+    CanonicalKey,
     Comparison,
     KnowledgeBase,
     KnowledgeBaseConflict,
@@ -27,6 +31,7 @@ from nasharc import (
     standard_fixture,
     valuative_obstruction,
 )
+from nasharc import obstructions
 
 CHAIN2 = cluster_fixture("chain2")
 SATELLITE = cluster_fixture("satellite3")
@@ -311,6 +316,188 @@ def test_knowledge_base_store_after_a_record_without_newline(tmp_path):
     assert kb.lookup(first).status is ObstructionStatus.NOT_RULED_OUT
     assert kb.lookup(second).status is ObstructionStatus.RULED_OUT
     assert path.read_text(encoding="utf-8").count("\n") == 2
+
+
+def test_knowledge_base_reads_carriage_returns_as_line_ends(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    record = '{"key": "k", "status": "RULED_OUT"}'
+    path.write_bytes(f"{record}\r\n{record}\rnot json\n".encode())
+    with pytest.raises(KnowledgeBaseError, match=":3: corrupt"):
+        KnowledgeBase(path).lookup(CanonicalKey(b"k"))
+
+    path.write_bytes(f"{record}\r".encode())
+    kb = KnowledgeBase(path)
+    kb.store(CanonicalKey(b"j"), ObstructionStatus.NOT_RULED_OUT)
+    assert path.read_bytes().count(b"\n") == 1
+    assert kb.lookup(CanonicalKey(b"k")).status is ObstructionStatus.RULED_OUT
+
+
+def test_knowledge_base_sees_records_appended_by_another_instance(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    first = canonical_key(pair_graph(CHAIN2, 0, 1))
+    second = canonical_key(pair_graph(SATELLITE, 0, 2))
+    kb = KnowledgeBase(path)
+    kb.store(first, ObstructionStatus.NOT_RULED_OUT)
+    assert kb.lookup(second) is None
+    KnowledgeBase(path).store(second, ObstructionStatus.RULED_OUT, provenance="other writer")
+    assert kb.lookup(second).provenance == "other writer"
+    with pytest.raises(KnowledgeBaseConflict):
+        kb.store(second, ObstructionStatus.NOT_RULED_OUT)
+
+
+def test_knowledge_base_corruption_appended_after_indexing(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    kb = KnowledgeBase(path)
+    keys = [canonical_key(pair_graph(SATELLITE, e, f)) for e, f in ((0, 1), (0, 2), (1, 2))]
+    for key in keys:
+        kb.store(key, ObstructionStatus.RULED_OUT)
+    assert kb.lookup(keys[0]) is not None
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("not json\n")
+    for _ in range(2):  # the error stands; the index does not swallow the line
+        with pytest.raises(KnowledgeBaseError) as err:
+            kb.lookup(keys[0])
+        assert f"{path}:4:" in str(err.value)
+    with pytest.raises(KnowledgeBaseError) as err:
+        kb.store(canonical_key(pair_graph(CHAIN2, 0, 1)), ObstructionStatus.NOT_RULED_OUT)
+    assert ":4:" in str(err.value)
+
+    text = path.read_text(encoding="utf-8").replace("not json\n", "")
+    record = json.loads(text.splitlines()[1])
+    record["status"] = "NOT_RULED_OUT"
+    path.write_text(text + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(KnowledgeBaseError, match=f"{path}:4: conflicting verdicts"):
+        kb.lookup(keys[0])
+
+
+def test_knowledge_base_reindexes_a_truncated_or_replaced_file(tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    first, second, third = (
+        canonical_key(pair_graph(cluster, e, f))
+        for cluster, e, f in ((CHAIN2, 0, 1), (SATELLITE, 0, 2), (TWO_DIRECTIONS, 1, 2))
+    )
+    kb = KnowledgeBase(path)
+    kb.store(first, ObstructionStatus.NOT_RULED_OUT)
+    kb.store(second, ObstructionStatus.RULED_OUT)
+    assert kb.lookup(second) is not None
+
+    with open(path, "r+", encoding="utf-8") as handle:
+        handle.truncate(len(handle.readline()))
+    assert kb.lookup(second) is None
+    assert kb.lookup(first).status is ObstructionStatus.NOT_RULED_OUT
+    kb.store(second, ObstructionStatus.NOT_RULED_OUT)  # the old verdict is gone with its line
+
+    other = tmp_path / "other.jsonl"
+    KnowledgeBase(other).store(third, ObstructionStatus.RULED_OUT)
+    os.replace(other, path)
+    assert kb.lookup(first) is None
+    assert kb.lookup(third).status is ObstructionStatus.RULED_OUT
+
+    path.unlink()
+    assert kb.lookup(third) is None
+
+
+def test_knowledge_base_reads_only_appended_bytes(tmp_path, monkeypatch):
+    read = [0]
+
+    class CountingHandle:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._handle.close()
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def read(self, *args):
+            data = self._handle.read(*args)
+            read[0] += len(data)
+            return data
+
+    counting_open = lambda *args, **kw: CountingHandle(open(*args, **kw))  # noqa: E731
+    monkeypatch.setattr(obstructions, "open", counting_open, raising=False)
+    kb = KnowledgeBase(tmp_path / "verdicts.jsonl")
+    for i in range(2000):
+        kb.store(CanonicalKey(b"[%d]" % i), ObstructionStatus.RULED_OUT)
+    size = os.path.getsize(kb.path)
+    # each store reads the line the one before it appended, never the whole file
+    assert size // 2 <= read[0] <= 2 * size
+
+
+def _store_all(path, entries, barrier):
+    barrier.wait(timeout=60)
+    kb = KnowledgeBase(path)
+    for key, status in entries:
+        kb.store(key, status, provenance="writer")
+
+
+def _store_opposite(path, keys, status, barrier, outcomes):
+    kb = KnowledgeBase(path)
+    results = []
+    for key in keys:
+        barrier.wait(timeout=60)
+        try:
+            kb.store(key, status)
+            results.append("stored")
+        except KnowledgeBaseConflict:
+            results.append("conflict")
+        except KnowledgeBaseError:  # both verdicts were filed; the store is unreadable
+            results.append("unreadable")
+    outcomes.put(results)
+
+
+def _join_all(workers):
+    for worker in workers:
+        worker.join(timeout=120)
+    assert all(not w.is_alive() and w.exitcode == 0 for w in workers)
+
+
+def test_knowledge_base_concurrent_writers(tmp_path):
+    verdicts = {}
+    for cluster in enumerate_proximity_structures(4):
+        for (e, f), verdict in adjacency_table(cluster).items():
+            verdicts[canonical_key(pair_graph(cluster, e, f))] = verdict.status
+    entries = list(verdicts.items())
+    path = os.fspath(tmp_path / "verdicts.jsonl")
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    workers = [
+        ctx.Process(target=_store_all, args=(path, entries[w * 12 :] + entries[: w * 12], barrier))
+        for w in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    _join_all(workers)
+    with open(path, encoding="utf-8") as handle:
+        keys = [json.loads(line)["key"] for line in handle]
+    assert sorted(keys) == sorted(key.as_text() for key in verdicts)
+    fresh = KnowledgeBase(path)
+    for key, status in entries:
+        assert fresh.lookup(key).status is status
+
+    # opposite verdicts raced for one key: exactly one is filed; the records
+    # already on file keep each writer between its look-up and its append
+    # long enough for an unlocked store to race
+    keys = [CanonicalKey(b"[%d]" % i) for i in range(40)]
+    race = os.fspath(tmp_path / "race.jsonl")
+    with open(race, "w", encoding="utf-8") as handle:
+        handle.writelines(f'{{"key": "filed {i}", "status": "RULED_OUT"}}\n' for i in range(2000))
+    barrier, outcomes = ctx.Barrier(2), ctx.Queue()
+    workers = [
+        ctx.Process(target=_store_opposite, args=(race, keys, status, barrier, outcomes))
+        for status in ObstructionStatus
+    ]
+    for worker in workers:
+        worker.start()
+    results = [outcomes.get(timeout=120) for _ in workers]
+    _join_all(workers)
+    assert all(sorted(pair) == ["conflict", "stored"] for pair in zip(*results))
+    fresh = KnowledgeBase(race)
+    assert all(fresh.lookup(key) is not None for key in keys)
 
 
 def test_verdict_documents_are_machine_readable():
