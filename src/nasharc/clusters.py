@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .dual_graphs import DualGraph, GraphVertex
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
-from .rationals import INF, Tangent, _Infinity, format_tangent, parse_tangent
+from .rationals import INF, Tangent, _Infinity, canonical_rational, format_tangent, parse_tangent
 
 MAX_POINTS = 24
 
@@ -129,7 +130,7 @@ class _Geometry:
     During the replay each component through a center occupies one local
     coordinate axis of the chart there; the axis letters fix the chart kind
     of a later satellite, and the chart kinds fix the directions a free
-    point must avoid.
+    point must avoid and the chart of every point (``plan``).
     """
 
     def __init__(self, points: tuple[ClusterPoint, ...]):
@@ -207,6 +208,21 @@ class _Geometry:
     def forbidden_slopes(self, component: int) -> set:
         """Directions on a component unavailable to a new free point."""
         return _forbidden_slopes(self.kinds, self.points, component)
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, Tangent | None], ...]:
+        """Chart parent (the latest component through the point) and tangent per point.
+
+        Tangent c means the chart (x, y) -> (x, x*(y + c)) with exceptional
+        divisor x = 0, INF the chart (x, y) -> (x*y, y) with divisor y = 0,
+        None a free point without a tangent; satellites take c = 0 or INF.
+        Built on first use: enumerations that never walk charts pay nothing.
+        """
+        steps = zip(self.prox[1:], self.kinds[1:], self.points[1:])
+        return ((0, None),) + tuple(  # the origin has no chart
+            (max(here), canonical_rational({"sat_y": 0, "sat_x": INF}.get(kind, point.tangent)))
+            for here, kind, point in steps
+        )
 
 
 CLUSTER_SCHEMA = "cluster/1"

@@ -98,19 +98,12 @@ class DualGraph:
                 return i
         raise ValidationError(f"unknown vertex id {vid!r}")
 
-    def edge_multiplicity(self, a: VertexId, b: VertexId) -> int:
-        e = _norm_edge(a, b)
-        return sum(1 for other in self.edges if other == e)
-
     def adjacency_counts(self) -> dict[VertexId, dict[VertexId, int]]:
         counts: dict[VertexId, dict[VertexId, int]] = {v.id: {} for v in self.vertices}
         for a, b in self.edges:
             counts[a][b] = counts[a].get(b, 0) + 1
             counts[b][a] = counts[b].get(a, 0) + 1
         return counts
-
-    def degree(self, vid: VertexId) -> int:
-        return sum(1 for a, b in self.edges if vid in (a, b))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -174,6 +167,8 @@ class DualGraph:
 
 
 GRAPH_SCHEMA = "dualgraph/1"
+# graph documents only; the lattice sweep is cubic in the vertex count
+MAX_GRAPH_VERTICES = 100
 
 
 def validate_graph_doc(doc) -> list[str]:
@@ -189,6 +184,9 @@ def validate_graph_doc(doc) -> list[str]:
     if not isinstance(vertices, list) or not vertices:
         diags.append("vertices: expected a non-empty list")
         return diags
+    if len(vertices) > MAX_GRAPH_VERTICES:
+        return [f"vertices: graph documents are limited to {MAX_GRAPH_VERTICES} vertices, "
+                f"got {len(vertices)}"]
     seen: set = set()
     for k, v in enumerate(vertices):
         where = f"vertices[{k}]"

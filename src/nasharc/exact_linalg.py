@@ -5,11 +5,11 @@ in the package.  An entry is an ``int`` whenever it is integral and a
 ``Fraction`` only for a true quotient.  Each matrix gets one elimination:
 a fraction-free Gauss-Jordan sweep of [M | I] over Python integers
 (Bareiss, Math. Comp. 22, 1968), run on first use and kept on the matrix.
-Determinants, leading principal minors, the Sylvester negative-definiteness
-test, inverses and linear solves all read that sweep, followed by a single
-exact division; its pivots before the first row swap are the leading
-principal minors.  Matrices are immutable; all operations return new values
-and are safe to run concurrently.
+Determinants, inverses and linear solves read that sweep, followed by a
+single exact division; the Sylvester negative-definiteness test reads the
+signs of its pivots before the first row swap, the leading principal minors
+up to positive row scales.  Matrices are immutable; all operations return
+new values and are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -173,24 +173,6 @@ class ExactMatrix:
         """Exact determinant: det(S M) from the kept sweep over the row scales."""
         _, scales, det, _ = self._sweep()
         return _quotient(det, prod(scales))
-
-    def leading_principal_minors(self) -> tuple[Fraction | int, ...]:
-        """The n leading principal minors, read off the kept sweep.
-
-        The k-th pivot before the first row swap is the k-th leading minor
-        of the row-scaled matrix.  A swap is needed precisely where that
-        minor is zero; the remaining minors are then computed by independent
-        sub-determinants.
-        """
-        n = self.n
-        pivots, scales, _, _ = self._sweep()
-        minors = [_quotient(p, prod(scales[: k + 1])) for k, p in enumerate(pivots)]
-        if len(minors) < n:
-            minors.append(0)
-            for size in range(len(minors) + 1, n + 1):
-                block = self if size == n else ExactMatrix(tuple(row[:size] for row in self.rows[:size]))
-                minors.append(block.determinant())
-        return tuple(minors)
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse; raises SingularMatrixError on singular input."""

@@ -36,14 +36,6 @@ class Poly2:
         return cls({(0, 0): c})
 
     @classmethod
-    def variable(cls, name: str) -> "Poly2":
-        if name == "x":
-            return cls({(1, 0): 1})
-        if name == "y":
-            return cls({(0, 1): 1})
-        raise ValidationError(f"unknown variable {name!r}")
-
-    @classmethod
     def monomial(cls, a: int, b: int, c=1) -> "Poly2":
         return cls({(a, b): c})
 
@@ -96,11 +88,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValidationError("the zero polynomial has no degree")
-        return max(a + b for a, b in self.terms)
 
     def multiplicity(self) -> int:
         """Order of vanishing at the origin: the minimal total degree."""
@@ -158,11 +145,7 @@ class Poly2:
         da, db = (m, 0) if var == 0 else (0, m)
         return Poly2({(a - da, b - db): c for (a, b), c in self.terms.items()})
 
-    # -- exact multivariate division (no caller in the library; kept as API) ----
-
-    def leading_term(self) -> tuple[Monomial, Rational]:
-        key = max(self.terms)
-        return key, self.terms[key]
+    # -- exact multivariate division (no caller in the library; a perfbench trace target) --
 
     def exact_div(self, other: "Poly2") -> "Poly2":
         """Quotient when ``other`` divides exactly; raises otherwise."""
@@ -170,7 +153,7 @@ class Poly2:
             raise ValidationError("division by the zero polynomial")
         rem = dict(self.terms)
         quot: dict[Monomial, Rational] = {}
-        (lo_a, lo_b), lead = other.leading_term()
+        (lo_a, lo_b), lead = max(other.terms.items())  # keys are distinct, so only they compare
         while rem:
             (a, b) = max(rem)
             if a < lo_a or b < lo_b:

@@ -5,7 +5,8 @@ reads orders of vanishing off the curvette rows QQ^t = -M^-1, Q = P^-1,
 checked once per cluster against the simulated lattice M: row e lists the
 orders, along the e-th component, of smooth germs transverse to each
 component.  The polynomial route transforms an explicit germ through the
-chart chain of the cluster and accumulates multiplicities of strict
+chart chain of the cluster, read off the chart plan its replay keeps
+(``cluster.geometry().plan``), and accumulates multiplicities of strict
 transforms by the proximity recursion.  Their agreement is one of the
 package's acceptance gates.
 """
@@ -22,7 +23,7 @@ from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
-from .rationals import INF, Tangent, canonical_rational
+from .rationals import INF
 
 
 def cluster_matrix(cluster: BlowupCluster) -> ExactMatrix:
@@ -65,21 +66,6 @@ def curvette_orders(cluster: BlowupCluster, e: int) -> tuple[int, ...]:
 # -- strict transforms along the chart chain ----------------------------------
 
 
-def _chart_plan(cluster: BlowupCluster) -> tuple[tuple[int, Tangent | None], ...]:
-    """Chart parent (the latest component through the point) and tangent per point.
-
-    Tangent c means the chart (x, y) -> (x, x*(y + c)) with exceptional
-    divisor x = 0, INF the chart (x, y) -> (x*y, y) with divisor y = 0,
-    None a free point without a tangent; satellites take c = 0 or INF.
-    """
-    geom = cluster.geometry()
-    plan: list[tuple[int, Tangent | None]] = [(0, None)]  # the origin has no chart
-    for i in range(1, cluster.n):
-        tangent = {"sat_y": 0, "sat_x": INF}.get(geom.kinds[i], cluster.points[i].tangent)
-        plan.append((max(geom.prox[i]), canonical_rational(tangent)))
-    return tuple(plan)
-
-
 def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """Multiplicity of the strict transform of g at each of ``points``, 0 elsewhere.
 
@@ -88,7 +74,7 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """
     if g.is_zero():
         raise ValidationError("the zero polynomial has no orders of vanishing")
-    plan = cluster.kept(_chart_plan)
+    plan = cluster.geometry().plan
     strict, mult = [g] * cluster.n, [g.multiplicity()] + [0] * (cluster.n - 1)
     for i in points[1:]:
         parent, tangent = plan[i]
@@ -208,7 +194,7 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     at t = -1.
     """
     keep = closure_indices(cluster, i)
-    plan = cluster.kept(_chart_plan)
+    plan = cluster.geometry().plan
     rows = curvette_order_rows(cluster)
     expect = tuple(rows[k][i] for k in keep)
 

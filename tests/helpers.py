@@ -223,9 +223,9 @@ def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
         raise ValidationError("parameter elimination is limited to small chart chains")
     # coefficient lists of X(t) - x and Y(t) - y, highest degree first
     p = [Poly2.constant(px.get(d, 0)) for d in range(dx, -1, -1)]
-    p[-1] = p[-1] - Poly2.variable("x")
+    p[-1] = p[-1] - Poly2.monomial(1, 0)
     q = [Poly2.constant(py.get(d, 0)) for d in range(dy, -1, -1)]
-    q[-1] = q[-1] - Poly2.variable("y")
+    q[-1] = q[-1] - Poly2.monomial(0, 1)
     n = dx + dy
     rows: list[list[Poly2]] = []
     for shift in range(dy):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from helpers import count_eliminations
@@ -47,6 +48,29 @@ def test_graph_check_document_and_diagnostics(tmp_path, capsys):
     code, _, err = run_cli(capsys, "graph", "check", str(bad))
     assert code == 2
     assert "loop" in err
+
+
+def _chain_doc(n):
+    return {
+        "schema": "dualgraph/1",
+        "vertices": [{"id": i, "self_int": -2} for i in range(n)],
+        "edges": [[i, i + 1] for i in range(n - 1)],
+    }
+
+
+def test_graph_documents_are_capped_at_100_vertices(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_doc(101)), encoding="utf-8")
+    euler = ("euler", "bound", str(path), "--coeffs", ",".join(["1"] * 101), "--attach", "0")
+    for argv in (("graph", "check", str(path)), euler):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "limited to 100 vertices, got 101" in err
+    path.write_text(json.dumps(_chain_doc(100)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "graph", "check", str(path))
+    assert code == 0 and "100 vertices" in out, err
 
 
 def test_graph_check_unknown_input(capsys):

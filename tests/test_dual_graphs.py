@@ -11,7 +11,7 @@ from nasharc import (
     standard_fixture,
     validate_graph_doc,
 )
-from nasharc.dual_graphs import fixture_names
+from nasharc.dual_graphs import MAX_GRAPH_VERTICES, fixture_names
 
 
 def test_intersection_matrix_single_vertex():
@@ -38,8 +38,7 @@ def test_intersection_matrix_disconnected():
 def test_multi_edges_count_with_multiplicity():
     graph = DualGraph.build([(0, -3), (1, -3)], [(0, 1), (0, 1)])
     assert int(intersection_matrix(graph).rows[0][1]) == 2
-    assert graph.edge_multiplicity(0, 1) == 2
-    assert graph.degree(0) == 2
+    assert graph.adjacency_counts() == {0: {1: 2}, 1: {0: 2}}
 
 
 def test_invariants_rejected():
@@ -94,7 +93,7 @@ def test_fixture_determinants(name, absdet):
 
 def test_d4_is_a_star():
     graph = standard_fixture("D4")
-    degrees = sorted(graph.degree(v.id) for v in graph.vertices)
+    degrees = sorted(sum(counts.values()) for counts in graph.adjacency_counts().values())
     assert degrees == [1, 1, 1, 3]
 
 
@@ -133,6 +132,20 @@ def test_doc_diagnostics():
     assert "edges[0]" in joined and "loop" in joined
     assert "edges[1]" in joined
     assert "edges[2]" in joined
+
+
+def test_graph_documents_are_capped_but_built_graphs_are_not():
+    n = MAX_GRAPH_VERTICES + 1
+    vertices = [(i, -2) for i in range(n)]
+    graph = DualGraph.build(vertices, [(i, i + 1) for i in range(n - 1)])
+    assert graph.n == n
+    assert validate_graph_doc(graph.to_doc()) == [
+        f"vertices: graph documents are limited to {MAX_GRAPH_VERTICES} vertices, got {n}"
+    ]
+    with pytest.raises(ValidationError, match="limited to 100 vertices"):
+        graph_from_doc(graph.to_doc())
+    smaller = DualGraph.build(vertices[:-1], graph.edges[:-1])
+    assert graph_from_doc(smaller.to_doc()) == smaller
 
 
 def test_doc_schema_version_rejected():

@@ -41,7 +41,7 @@ def test_determinant_small_cases():
 
 def test_determinant_matches_cofactor_oracle():
     # the same random rational matrices, zero pivots included, also drive
-    # leading minors, solve and the definiteness test against cofactors
+    # solve and the definiteness test against cofactors
     rng = random.Random(11)
     zero_pivots = definite = indefinite = 0
     for _ in range(200):
@@ -55,7 +55,6 @@ def test_determinant_matches_cofactor_oracle():
         assert matrix.determinant() == det
 
         minors = [det_cofactor([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
-        assert list(matrix.leading_principal_minors()) == minors
         zero_pivots += 0 in minors[:-1]
 
         rhs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
@@ -142,18 +141,11 @@ def test_integral_entries_are_ints():
         assert all(type(v) is int for row in matrix.rows for v in row), matrix
     assert type(unimodular.determinant()) is int
     assert all(type(v) is int for v in unimodular.solve([1, 0, 0]))
-    assert all(type(v) is int for v in A2.leading_principal_minors())
 
 
 def test_solve_matches_inverse():
     rhs = [1, -2]
     assert A2.solve(rhs) == A2.inverse().matvec(rhs)
-
-
-def test_leading_principal_minors():
-    assert A2.leading_principal_minors() == (-2, 3)
-    zero_pivot = ExactMatrix.from_rows([[0, 1], [1, 0]])
-    assert zero_pivot.leading_principal_minors() == (0, -1)
 
 
 # first leading minor zero (invertible and singular), a later zero minor,
@@ -179,7 +171,6 @@ def test_swaps_and_singular_matrices_match_cofactor_oracle():
         det = det_cofactor(exact)
         minors = [det_cofactor([row[:k] for row in exact[:k]]) for k in range(1, n + 1)]
         assert matrix.determinant() == det, rows
-        assert list(matrix.leading_principal_minors()) == minors, rows
         if matrix.is_symmetric():
             expected = all((-1) ** k * m > 0 for k, m in enumerate(minors, start=1))
             assert is_negative_definite(matrix) == expected, rows
@@ -201,7 +192,6 @@ def test_one_elimination_serves_every_operation(monkeypatch):
         matrix = ExactMatrix.from_rows(rows)
         n = matrix.n
         det = matrix.determinant()
-        matrix.leading_principal_minors()
         inverse = matrix.inverse()
         assert matrix.solve([1] * n) == inverse.matvec([1] * n)
         assert matrix.solve(range(n)) == inverse.matvec(range(n))

@@ -1,0 +1,43 @@
+"""Fixed rules of the library source, checked on its syntax trees.
+
+The package imports only the standard library and itself, never touches a
+float (every answer rests on exact signs and integrality), and raises
+``InternalInvariantError`` rather than using ``assert``, which ``python -O``
+strips.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nasharc").glob("*.py"))
+
+
+def _nodes(kind):
+    """(file:line, node) for every node of ``kind`` in the package source."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, kind):
+                yield f"{path.name}:{node.lineno}", node
+
+
+def test_imports_only_the_standard_library_or_the_package():
+    assert len(SOURCES) >= 10
+    outside = []
+    for where, node in _nodes((ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom):
+            roots = [] if node.level else [node.module.split(".")[0]]
+        else:
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        outside += [f"{where} {root}" for root in roots if root not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_no_float_literal_or_float_name():
+    literals = [where for where, node in _nodes(ast.Constant) if isinstance(node.value, float)]
+    names = [where for where, node in _nodes(ast.Name) if node.id == "float"]
+    assert literals == [] and names == []
+
+
+def test_no_assert_statement():
+    assert [where for where, _ in _nodes(ast.Assert)] == []
