@@ -62,6 +62,10 @@ from .valuations import cluster_matrix, compare, curvette_order_rows, ord_poly
 
 REPORT_SCHEMA = "report/1"
 
+# resolved path -> the verdict store kept for the process; each request then
+# parses only the records appended since the last (see KnowledgeBase)
+_STORES: dict[str, KnowledgeBase] = {}
+
 
 def _read_json(path: str) -> dict:
     try:
@@ -436,7 +440,7 @@ def _cmd_pair_canon(args) -> int:
         "key_digest": key.digest_hex(),
     }
     if args.kb:
-        kb = KnowledgeBase(args.kb)
+        kb = _STORES.setdefault(os.path.realpath(args.kb), KnowledgeBase(os.path.abspath(args.kb)))
         if args.store:
             record = kb.store(key, ObstructionStatus(args.store), args.provenance or "")
             lines.append(f"stored verdict {record.status.value} in {args.kb}")

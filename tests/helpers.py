@@ -5,12 +5,15 @@ expansion instead of Bareiss elimination, Cramer's rule instead of
 Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
 rows, and a Sylvester resultant of a pushed-down parametrization instead
-of pushing a curvette's equation down the charts.  `count_eliminations` is
-a spy on the elimination kernel.
+of pushing a curvette's equation down the charts, and a canonical form by
+full backtracking over every ordering of every ambiguous color class
+instead of the library's automorphism-pruned search.  `count_eliminations`
+is a spy on the elimination kernel.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import count
@@ -118,6 +121,67 @@ def quadratic_form_negative(matrix: ExactMatrix, box: int = 3) -> bool:
         if k < 0:
             return True
         vec[k] += 1
+
+
+def canonical_form_oracle(graph: DualGraph) -> bytes:
+    """The key bytes of ``canonical_key`` by full backtracking: after color
+    refinement, branch on every vertex of the first ambiguous cell, with no
+    pruning, and keep the smallest adjacency encoding; exponential."""
+    n = graph.n
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    mult = [[0] * n for _ in range(n)]
+    for a, b in graph.edges:
+        mult[index[a]][index[b]] += 1
+        mult[index[b]][index[a]] += 1
+    deco = [(v.self_int, v.genus, tuple(sorted(v.labels))) for v in graph.vertices]
+    cells: dict = {}
+    for i in range(n):
+        cells.setdefault(deco[i] + (sum(mult[i]),), []).append(i)
+
+    def refine(partition):
+        while True:
+            color = {v: ci for ci, cell in enumerate(partition) for v in cell}
+            refined = []
+            for cell in partition:
+                buckets: dict = {}
+                for v in cell:
+                    nbr = tuple(sorted((color[u], mult[v][u]) for u in range(n) if mult[v][u]))
+                    buckets.setdefault(nbr, []).append(v)
+                refined += [tuple(buckets[key]) for key in sorted(buckets)]
+            if len(refined) == len(partition):
+                return refined
+            partition = refined
+
+    best = ((), ())
+
+    def search(partition):
+        nonlocal best
+        partition = refine(partition)
+        target = next((k for k, cell in enumerate(partition) if len(cell) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in partition]
+            adj = [
+                (a, b, mult[order[a]][order[b]])
+                for a in range(n)
+                for b in range(a + 1, n)
+                if mult[order[a]][order[b]]
+            ]
+            enc = (tuple(deco[v] for v in order), tuple(adj))
+            if not best[0] or enc < best:
+                best = enc
+            return
+        cell = partition[target]
+        for v in cell:
+            rest = tuple(u for u in cell if u != v)
+            search(partition[:target] + [(v,), rest] + partition[target + 1 :])
+
+    if n:
+        search([tuple(cells[s]) for s in sorted(cells)])
+    payload = {
+        "v": [[si, g, list(labels)] for si, g, labels in best[0]],
+        "e": [[a, b, m] for a, b, m in best[1]],
+    }
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 def random_decorated_graph(rng: random.Random, max_vertices: int = 10) -> DualGraph:

@@ -1,8 +1,20 @@
 import random
+import time
+from fractions import Fraction
 
-from helpers import random_decorated_graph
+import pytest
+from helpers import canonical_form_oracle, random_decorated_graph
 
-from nasharc import DualGraph, canonical_key, standard_fixture
+import nasharc.canonical as canonical
+from nasharc import (
+    BlowupCluster,
+    DualGraph,
+    canonical_key,
+    enumerate_proximity_structures,
+    pair_graph,
+    simulate,
+    standard_fixture,
+)
 
 
 def _shuffled(graph: DualGraph, rng: random.Random) -> DualGraph:
@@ -68,3 +80,119 @@ def test_key_is_deterministic_bytes():
     assert key.key == canonical_key(graph).key
     assert len(key.digest_hex()) == 64
     assert " " not in key.as_text()
+
+
+def _star_cluster(k: int, legs: int = 1) -> BlowupCluster:
+    """k free points at the origin with distinct tangents, each carrying a
+    chain of ``legs`` free points."""
+    specs = [(None,)] + [(0, None, Fraction(t)) for t in range(k)]
+    for level in range(1, legs):
+        specs += [(1 + (level - 1) * k + j, None, Fraction(0)) for j in range(k)]
+    return BlowupCluster.from_specs(specs)
+
+
+def _tree(branching) -> DualGraph:
+    """A tree of -2 vertices: the root has ``branching[0]`` children, each of
+    those ``branching[1]``, and so on; ``[k, 1]`` is k legs of two."""
+    vertices, edges, level = [(0, -2)], [], [0]
+    for k in branching:
+        nxt = []
+        for parent in level:
+            for _ in range(k):
+                nxt.append(len(vertices))
+                edges.append((parent, len(vertices)))
+                vertices.append((len(vertices), -2))
+        level = nxt
+    return DualGraph.build(vertices, edges)
+
+
+def test_keys_equal_the_oracle_on_small_structures():
+    """Every pair graph and whole dual graph of every structure on <= 6 points."""
+    for cluster in enumerate_proximity_structures(6):
+        graphs = [simulate(cluster)]
+        graphs += [pair_graph(cluster, e, f) for e in range(cluster.n) for f in range(cluster.n) if e != f]
+        for graph in graphs:
+            assert canonical_key(graph).key == canonical_form_oracle(graph)
+
+
+@pytest.mark.parametrize("k, legs", [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1)])
+def test_keys_equal_the_oracle_on_whole_stars(k, legs):
+    rng = random.Random(k * 10 + legs)
+    graph = simulate(_star_cluster(k, legs))
+    expected = canonical_form_oracle(graph)
+    assert canonical_key(graph).key == expected
+    for _ in range(5):
+        assert canonical_key(_shuffled(graph, rng)).key == expected
+
+
+def test_keys_equal_the_oracle_on_random_decorated_graphs():
+    """Multi-edges, adjacent twins, labels and genera."""
+    rng = random.Random(23)
+    for _ in range(2000):
+        graph = random_decorated_graph(rng)
+        assert canonical_key(graph).key == canonical_form_oracle(graph)
+
+
+def _lcf(n: int, jumps) -> list[tuple[int, int]]:
+    """Edges of the cubic graph on a Hamiltonian n-cycle with LCF chords."""
+    chords = {frozenset((i, (i + jumps[i % len(jumps)]) % n)) for i in range(n)}
+    return [(i, (i + 1) % n) for i in range(n)] + [tuple(sorted(c)) for c in chords]
+
+
+REGULAR = {
+    # refinement splits nothing in a regular graph, so every vertex is
+    # branched on; Frucht's graph has no automorphism but the identity
+    "frucht": DualGraph.build([(i, -3) for i in range(12)], _lcf(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])),
+    "petersen": DualGraph.build(
+        [(i, -3) for i in range(10)],
+        [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)],
+    ),
+    "triangles and hexagon": DualGraph.build(
+        [(i, -2) for i in range(12)],
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] + [(6 + i, 6 + (i + 1) % 6) for i in range(6)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR))
+def test_keys_equal_the_oracle_on_regular_graphs(name):
+    rng = random.Random(name)
+    graph = REGULAR[name]
+    expected = canonical_form_oracle(graph)
+    for _ in range(10):
+        assert canonical_key(_shuffled(graph, rng)).key == expected
+
+
+def test_twelve_identical_leaves_reach_one_leaf_encoding(monkeypatch):
+    calls = []
+    encode = canonical._encode
+
+    def spy(*args):
+        calls.append(args[0])
+        return encode(*args)
+
+    monkeypatch.setattr(canonical, "_encode", spy)
+    canonical_key(_tree([12]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _tree([23]),
+        _tree([11, 1]),
+        _tree([7, 1, 1]),
+        _tree([4, 2]),
+        simulate(_star_cluster(12)),
+        simulate(_star_cluster(23)),
+    ],
+    ids=["star23", "11 legs of 2", "7 legs of 3", "branching 4 then 2", "12 tangents", "23 tangents"],
+)
+def test_cluster_sized_trees_canonicalize_quickly(graph):
+    """Shapes of <= 24-point clusters; a search over every ordering of the
+    symmetric vertices would not finish."""
+    start = time.perf_counter()
+    key = canonical_key(graph).key
+    assert time.perf_counter() - start < 1
+    assert key == canonical_key(_shuffled(graph, random.Random(graph.n))).key

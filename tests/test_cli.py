@@ -5,7 +5,14 @@ import pytest
 from helpers import count_eliminations
 
 import nasharc.cli as cli
-from nasharc import cluster_fixture, standard_fixture
+from nasharc import (
+    KnowledgeBase,
+    ObstructionStatus,
+    canonical_key,
+    cluster_fixture,
+    pair_graph,
+    standard_fixture,
+)
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +281,34 @@ def test_pair_canon_stores_after_a_record_without_newline(tmp_path, capsys):
     for argv, verdict in ((first, "NOT_RULED_OUT"), (second, "RULED_OUT")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and f"hit, verdict {verdict}" in out, err
+
+
+def test_pair_canon_keeps_one_store_per_path(tmp_path, capsys, monkeypatch):
+    """Later requests parse only appended records, filed by any writer."""
+    monkeypatch.setattr(cli, "_STORES", {})
+    kb = tmp_path / "kb.jsonl"
+    other = KnowledgeBase(kb)
+    other.store(canonical_key(pair_graph(cluster_fixture("chain3"), 0, 2)), ObstructionStatus.RULED_OUT)
+    first_lines = []
+    parse = KnowledgeBase._parse
+
+    def spy(self, data, first_line):
+        if self is not other:
+            first_lines.append(first_line)
+        return parse(self, data, first_line)
+
+    monkeypatch.setattr(KnowledgeBase, "_parse", spy)
+    argv = ("pair", "canon", "chain2", "0", "1", "--kb")
+    code, out, err = run_cli(capsys, *argv, str(kb))
+    assert code == 0 and "miss" in out, err
+    key = canonical_key(pair_graph(cluster_fixture("chain2"), 0, 1))
+    other.store(key, ObstructionStatus.NOT_RULED_OUT, "valuative")
+    code, out, err = run_cli(capsys, *argv, str(kb))
+    assert code == 0 and "hit, verdict NOT_RULED_OUT (valuative)" in out, err
+    monkeypatch.chdir(tmp_path)  # another spelling of the same file
+    code, out, err = run_cli(capsys, *argv, "kb.jsonl")
+    assert code == 0 and "hit, verdict NOT_RULED_OUT" in out, err
+    assert first_lines == [1, 2]
 
 
 @pytest.mark.parametrize(
