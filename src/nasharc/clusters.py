@@ -27,6 +27,10 @@ from .exact_linalg import ExactMatrix
 from .rationals import INF, Tangent, _Infinity, canonical_rational, format_tangent, parse_tangent
 
 MAX_POINTS = 24
+# The index tuples a replay keeps (proximities, surviving intersections),
+# built once: every cluster shares them instead of holding its own copies.
+_SINGLES = tuple((i,) for i in range(MAX_POINTS))
+_PAIRS = tuple(tuple((s, i) for i in range(MAX_POINTS)) for s in range(MAX_POINTS))
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class _Geometry:
                         f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
                         f"{parent} is already occupied by another component or sibling"
                     )
-                here = (parent,)
+                here = _SINGLES[parent]
                 kind = "free_inf" if isinstance(tangent, _Infinity) else "free"
                 chart = {parent: "y" if kind == "free_inf" else "x"}
             else:
@@ -180,7 +184,7 @@ class _Geometry:
                     raise ValidationError(f"points[{i}].satellite_of: must differ from parent")
                 if point.tangent is not None:
                     raise ValidationError(f"points[{i}].tangent: satellite points carry no tangent")
-                here = tuple(sorted((parent, other)))
+                here = _PAIRS[min(parent, other)][max(parent, other)]
                 if here not in alive:
                     raise ValidationError(
                         f"points[{i}]: components {parent} and {other} do not intersect "
@@ -194,7 +198,7 @@ class _Geometry:
 
             for s in here:
                 self_ints[s] -= 1
-                alive.add((s, i))
+                alive.add(_PAIRS[s][i])
             alive.discard(here)  # a satellite center separates its two components
             prox.append(here)
             kinds.append(kind)

@@ -8,12 +8,16 @@ a fraction-free Gauss-Jordan sweep of [M | I] over Python integers
 Determinants, inverses and linear solves read that sweep, followed by a
 single exact division; the Sylvester negative-definiteness test reads the
 signs of its pivots before the first row swap, the leading principal minors
-up to positive row scales.  Matrices are immutable; all operations return
-new values and are safe to run concurrently.
+up to positive row scales.  A row of ``int`` entries enters the sweep
+unscaled.  Entries are validated once, by ``from_rows``; products and
+transposes of exact matrices are not re-validated, so a float passed to the
+bare constructor is not caught there.  Matrices are immutable; all
+operations return new values and are safe to run concurrently.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -24,6 +28,8 @@ from .rationals import canonical_rational, format_rational, parse_rational
 
 
 def _coerce(value) -> Fraction | int:
+    if type(value) is int:
+        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str):
@@ -40,9 +46,16 @@ def _quotient(num: int, den: int) -> Fraction | int:
 
 
 def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those positive scales."""
+    """Each row times the lcm of its denominators, and those positive scales.
+
+    A row of ``int`` entries is its own integer row, with scale 1.
+    """
     out, scales = [], []
     for row in rows:
+        if all(type(v) is int for v in row):
+            out.append(list(row))
+            scales.append(1)
+            continue
         s = lcm(*(v.denominator for v in row))
         out.append([v.numerator * (s // v.denominator) for v in row])
         scales.append(s)
@@ -112,17 +125,12 @@ class ExactMatrix:
     def from_rows(cls, rows: Iterable[Iterable]) -> "ExactMatrix":
         return cls(tuple(tuple(_coerce(v) for v in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def transpose(self) -> "ExactMatrix":
-        n = self.n
-        return ExactMatrix(tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(n)))
+        return ExactMatrix(tuple(zip(*self.rows)))
 
     def neg(self) -> "ExactMatrix":
         return ExactMatrix(tuple(tuple(-v for v in row) for row in self.rows))
@@ -130,10 +138,10 @@ class ExactMatrix:
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValidationError("dimension mismatch in matrix product")
-        cols = other.transpose().rows
+        cols = tuple(zip(*other.rows))
         return ExactMatrix(
             tuple(
-                tuple(_coerce(sum(a * b for a, b in zip(row, col))) for col in cols)
+                tuple(canonical_rational(sum(map(operator.mul, row, col))) for col in cols)
                 for row in self.rows
             )
         )
@@ -162,7 +170,8 @@ class ExactMatrix:
         sweep = self.__dict__.get("_kept_sweep")
         if sweep is None:
             n = self.n
-            m, scales = _integer_rows(map(tuple.__add__, self.rows, ExactMatrix.identity(n).rows))
+            identity = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+            m, scales = _integer_rows(map(tuple.__add__, self.rows, identity))
             pivots, leading = _eliminate(m)
             det = 0 if len(pivots) < n else pivots[-1] if pivots else 1
             sweep = (pivots[:leading], scales, det, [row[n:] for row in m])

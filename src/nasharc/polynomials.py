@@ -196,6 +196,14 @@ class Poly2:
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[xy])|(?P<op>[*/^+-]))")
 
+# Germ size limits of the text grammar.  The chart walk of an order or
+# strict-transform computation grows with the germ's total degree and
+# term count; at these caps, on a 24-point chain of tangent-1 free points,
+# the worst shapes measured (a degree-32 germ of high y-degree, a dense
+# degree-32 germ) take about 1.2 s.
+MAX_GERM_DEGREE = 32
+MAX_GERM_TERMS = 256
+
 
 def parse_poly(text: str) -> Poly2:
     """Parse the plain-text grammar: terms like ``2/3*x^2*y`` joined by + or -."""
@@ -225,17 +233,23 @@ def parse_poly(text: str) -> Poly2:
         idx += 1
         return tok
 
+    def number(value: str) -> int:
+        try:
+            return int(value)
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise ValidationError(f"polynomial parse error: {exc}") from exc
+
     def parse_rational_token() -> Rational:
         kind, value = take()
         if kind != "num":
             raise ValidationError(f"polynomial parse error: expected a number, got {value!r}")
-        num = int(value)
+        num = number(value)
         if peek() == ("op", "/"):
             take()
             kind, value = take()
             if kind != "num":
                 raise ValidationError("polynomial parse error: expected a denominator")
-            den = int(value)
+            den = number(value)
             if den == 0:
                 raise ValidationError("polynomial parse error: zero denominator")
             return canonical_rational(Fraction(num, den))
@@ -253,7 +267,7 @@ def parse_poly(text: str) -> Poly2:
                 kind2, value2 = take()
                 if kind2 != "num":
                     raise ValidationError("polynomial parse error: expected an exponent")
-                exp = int(value2)
+                exp = number(value2)
             return Poly2.monomial(exp, 0) if value == "x" else Poly2.monomial(0, exp)
         raise ValidationError(f"polynomial parse error: expected a factor, got {value!r}")
 
@@ -272,10 +286,17 @@ def parse_poly(text: str) -> Poly2:
         take()
         sign = -1 if value == "-" else 1
     result = parse_term().scale(sign)
+    terms = 1
     while idx < len(tokens):
         kind, value = take()
         if kind != "op" or value not in "+-":
             raise ValidationError(f"polynomial parse error: expected + or -, got {value!r}")
+        terms += 1
+        if terms > MAX_GERM_TERMS:
+            raise ValidationError(f"germs are limited to {MAX_GERM_TERMS} terms")
         term = parse_term()
         result = result + term.scale(-1 if value == "-" else 1)
+    degree = max((a + b for a, b in result.terms), default=0)
+    if degree > MAX_GERM_DEGREE:
+        raise ValidationError(f"germs are limited to total degree {MAX_GERM_DEGREE}, got {degree}")
     return result

@@ -133,6 +133,20 @@ def test_val_ord(capsys):
     assert code == 2 and "parse error" in err
 
 
+def test_val_ord_refuses_germs_past_the_size_limits(tmp_path, capsys):
+    # y^200 + x^200*y^200 took seconds on this chain before germs were capped
+    points = [{}] + [{"parent": i, "tangent": 1} for i in range(4)]
+    path = tmp_path / "tangent1.json"
+    path.write_text(json.dumps({"schema": "cluster/1", "points": points}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "val", "ord", str(path), "4", "--poly", "y^200 + x^200*y^200")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "limited to total degree 32, got 400" in err
+    code, out, err = run_cli(capsys, "val", "ord", str(path), "4", "--poly", "y^16 + x^16*y^16")
+    assert code == 0 and err == ""
+
+
 def test_adj_obstruct_matches_spec_example(capsys):
     code, out, _ = run_cli(capsys, "adj", "obstruct", "chain2", "0", "1")
     assert code == 0

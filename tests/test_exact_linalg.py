@@ -27,6 +27,10 @@ from nasharc import (
 A2 = ExactMatrix.from_rows([[-2, 1], [1, -2]])
 
 
+def identity(n):
+    return ExactMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_rejects_non_square():
     with pytest.raises(ValidationError):
         ExactMatrix.from_rows([[1, 2], [3]])
@@ -101,14 +105,14 @@ def test_inverse_roundtrip_and_oracle():
         except SingularMatrixError:
             assert matrix.determinant() == 0
             continue
-        assert matrix.mul(inv) == ExactMatrix.identity(n)
+        assert matrix.mul(inv) == identity(n)
         assert [list(r) for r in inv.rows] == inverse_adjugate(matrix)
         checked += 1
 
 
 def test_inverse_rational_entries():
     matrix = ExactMatrix.from_rows([[Fraction(1, 2), 0], [1, Fraction(-3, 4)]])
-    assert matrix.mul(matrix.inverse()) == ExactMatrix.identity(2)
+    assert matrix.mul(matrix.inverse()) == identity(2)
 
 
 def test_singular_raises():
@@ -130,7 +134,7 @@ def test_integral_entries_are_ints():
     for matrix in (
         intersection_matrix(standard_fixture("E8")),
         P,
-        ExactMatrix.identity(3),
+        identity(3),
         ExactMatrix.from_rows([["4/2"]]),
         P.transpose().mul(P),
         unimodular.inverse(),
@@ -258,3 +262,79 @@ def test_connected_negative_definite_inverse_is_strictly_negative():
         assert is_negative_definite(matrix)
         report = check_inverse_nonpositive(matrix)
         assert report.strictly_negative
+
+
+def _draw_entry(rng, kind):
+    value = rng.choice((0, rng.randint(-4, 4)))
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return value
+    return Fraction(value, rng.choice((1, 1, 2, 3)))
+
+
+def _exact_type(value):
+    return type(value) is (int if Fraction(value).denominator == 1 else Fraction)
+
+
+def test_integer_fast_paths_match_oracles_and_keep_types():
+    # int, Fraction and mixed matrices; the bare constructor also takes
+    # Fraction(k, 1) entries, which every product must still return as ints
+    rng = random.Random(41)
+    inverted = 0
+    for draw in range(120):
+        n = rng.randint(1, 8)
+        kind = ("int", "fraction", "mixed")[draw % 3]
+        rows = [[_draw_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        other_rows = [[_draw_entry(rng, kind) for _ in range(n)] for _ in range(n)]
+        bare = ExactMatrix(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        a, b = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(other_rows)
+        assert all(_exact_type(v) for row in a.rows for v in row)
+
+        naive = [
+            [sum(Fraction(rows[i][k]) * Fraction(other_rows[k][j]) for k in range(n))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        for left in (a, bare):
+            product = left.mul(b)
+            assert [list(r) for r in product.rows] == naive
+            assert all(_exact_type(v) for row in product.rows for v in row)
+        for matrix in (a, bare):
+            transposed = matrix.transpose()
+            assert all(
+                transposed.rows[j][i] is matrix.rows[i][j] for i in range(n) for j in range(n)
+            )
+
+        det = det_cofactor(rows)
+        for matrix in (a, bare):
+            assert matrix.determinant() == det and _exact_type(matrix.determinant())
+            if det == 0:
+                with pytest.raises(SingularMatrixError):
+                    matrix.inverse()
+                continue
+            if n > 6:
+                continue  # adjugate and Cramer oracles cost n^2 cofactor expansions
+            inverse = matrix.inverse()
+            assert [list(r) for r in inverse.rows] == inverse_adjugate(matrix)
+            assert all(_exact_type(v) for row in inverse.rows for v in row)
+            rhs = [_draw_entry(rng, kind) for _ in range(n)]
+            solution = matrix.solve(rhs)
+            assert list(solution) == solve_cramer(matrix, rhs)
+            assert all(_exact_type(v) for v in solution)
+            inverted += 1
+    assert inverted > 80
+
+
+def test_from_rows_still_validates_every_entry():
+    for bad in (True, False, 1.5, None):
+        with pytest.raises(ValidationError):
+            ExactMatrix.from_rows([[bad]])
+        with pytest.raises(ValidationError):
+            ExactMatrix.from_rows([[1, 0], [0, bad]])
+    parsed = ExactMatrix.from_rows([["3/4", "4/2"], [Fraction(6, 3), -1]])
+    assert parsed.rows == ((Fraction(3, 4), 2), (2, -1))
+    assert [type(v) for row in parsed.rows for v in row] == [Fraction, int, int, int]
+
+    class Count(int):
+        pass
+
+    assert type(ExactMatrix.from_rows([[Count(3)]]).rows[0][0]) is int

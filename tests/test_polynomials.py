@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nasharc import InternalInvariantError, Poly2, ValidationError, parse_poly
+from nasharc.polynomials import MAX_GERM_DEGREE, MAX_GERM_TERMS
 
 
 def test_parse_simple_terms():
@@ -25,6 +26,27 @@ def test_parse_errors():
     for bad in ("", "x +", "x^", "2/0", "x**y", "z", "1/ x", "x^y"):
         with pytest.raises(ValidationError):
             parse_poly(bad)
+
+
+def test_germ_total_degree_is_capped():
+    d = MAX_GERM_DEGREE
+    assert parse_poly(f"y^{d} + x^{d // 2}*y^{d - d // 2} + 3*x^{d}").multiplicity() == d
+    assert parse_poly(f"x^{d + 8} - x^{d + 8} + y").terms == {(0, 1): 1}  # the germ's degree counts
+    for text in (f"y^{d + 1}", f"x^{d}*y", f"y + x^{d // 2 + 1}*y^{d // 2}"):
+        with pytest.raises(ValidationError, match=f"limited to total degree {d}, got {d + 1}"):
+            parse_poly(text)
+
+
+def test_germ_term_count_is_capped():
+    assert len(parse_poly(" + ".join(["x"] * MAX_GERM_TERMS)).terms) == 1
+    with pytest.raises(ValidationError, match=f"limited to {MAX_GERM_TERMS} terms"):
+        parse_poly(" - ".join(["x"] * (MAX_GERM_TERMS + 1)))
+
+
+def test_numbers_past_the_digit_limit_are_refused():
+    for text in ("1" * 5000 + "*y", "y^" + "1" * 5000, "1/" + "7" * 5000 + "*y"):
+        with pytest.raises(ValidationError, match="integer string conversion"):
+            parse_poly(text)
 
 
 def test_str_roundtrip():
