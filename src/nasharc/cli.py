@@ -8,10 +8,10 @@ that parses back to the in-memory report.  Each command computes and
 words only its own result; one skeleton (``_report``) stamps the schema and
 the command, adds the lattice block and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
-downstream; for a cluster M comes from simulation and the inverse is minus
-the curvette rows the cluster keeps, which are built from the proximities
-and checked against the simulated M, so no cluster request eliminates for
-its lattice.
+downstream; for a cluster M comes from its one simulation and the inverse
+is minus the curvette rows its replay keeps, which are built from the
+proximities and checked against the replay's lattice, so no cluster
+request eliminates for its lattice.
 
 Exit codes: 0 analysis completed (the verdict lives inside the report),
 2 input or validation error, 3 internal invariant violation.
@@ -43,7 +43,6 @@ from .dual_graphs import (
     graph_from_doc,
     intersection_matrix,
     standard_fixture,
-    validate_graph_doc,
 )
 from .errors import InternalInvariantError, NashArcError, SingularMatrixError, ValidationError
 from .euler_bounds import EulerInput, b0_bound, balls_bound, contradiction_certificate, tubes_bound
@@ -58,7 +57,7 @@ from .obstructions import (
 )
 from .polynomials import parse_poly
 from .rationals import format_rational, parse_rational
-from .valuations import cluster_matrix, compare, curvette_order_rows, ord_poly
+from .valuations import compare, curvette_order_rows, ord_poly
 
 REPORT_SCHEMA = "report/1"
 
@@ -92,10 +91,10 @@ def load_graph_input(source: str) -> DualGraph:
     """A path to a graph document, or the name of a built-in fixture."""
     if os.path.exists(source):
         doc = _read_json(source)
-        diags = validate_graph_doc(doc)
-        if diags:
-            raise ValidationError(f"{source}: " + "; ".join(diags))
-        return graph_from_doc(doc)
+        try:
+            return graph_from_doc(doc)
+        except ValidationError as exc:
+            raise ValidationError(f"{source}: {exc}") from None
     name = _strip_fixture_prefix(source)
     if name.upper() in fixture_names():
         return standard_fixture(name)
@@ -144,9 +143,10 @@ def _lattice_lines(M: ExactMatrix, inverse: ExactMatrix | None) -> list[str]:
     return lines
 
 
-def _cluster_lattice(cluster: BlowupCluster) -> tuple[ExactMatrix, ExactMatrix]:
-    """M and M^-1, the inverse read off the curvette rows the cluster keeps."""
-    return cluster_matrix(cluster), ExactMatrix(curvette_order_rows(cluster)).neg()
+def _cluster_lattice(cluster: BlowupCluster) -> tuple[DualGraph, ExactMatrix, ExactMatrix]:
+    """The simulated graph, its lattice M and M^-1 read off the curvette rows the replay keeps."""
+    graph = simulate(cluster)
+    return graph, intersection_matrix(graph), ExactMatrix(curvette_order_rows(cluster)).neg()
 
 
 def _report(args, fields: dict, lines: list[str], M=None, inverse=None) -> int:
@@ -216,8 +216,7 @@ def _cmd_graph_check(args) -> int:
 
 def _cmd_cluster_build(args) -> int:
     cluster = load_cluster_input(args.input)
-    graph = simulate(cluster)
-    M, inverse = _cluster_lattice(cluster)
+    graph, M, inverse = _cluster_lattice(cluster)
     P = proximity_matrix(cluster)
     if intersection_from_proximity(P).rows != M.rows:
         raise InternalInvariantError("simulated intersection matrix disagrees with -P^t P")
@@ -248,7 +247,7 @@ def _cmd_cluster_build(args) -> int:
 def _cmd_val_compare(args) -> int:
     cluster = load_cluster_input(args.input)
     result = compare(cluster, args.e, args.f)
-    M, inverse = _cluster_lattice(cluster)
+    _, M, inverse = _cluster_lattice(cluster)
     rows = curvette_order_rows(cluster)
     lines = [
         f"compare components {args.e} and {args.f}: {result.value}",
@@ -268,7 +267,7 @@ def _cmd_val_ord(args) -> int:
     cluster = load_cluster_input(args.input)
     poly = parse_poly(args.poly)
     value = ord_poly(cluster, poly, args.e)
-    M, inverse = _cluster_lattice(cluster)
+    _, M, inverse = _cluster_lattice(cluster)
     lines = [f"ord of {poly} along component {args.e}: {value}"]
     fields = {"e": args.e, "polynomial": str(poly), "ord": value}
     return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
@@ -277,7 +276,7 @@ def _cmd_val_ord(args) -> int:
 def _cmd_adj_obstruct(args) -> int:
     cluster = load_cluster_input(args.input)
     verdict = valuative_obstruction(cluster, args.e, args.f)
-    M, inverse = _cluster_lattice(cluster)
+    _, M, inverse = _cluster_lattice(cluster)
     lines = [
         f"adjacency {verdict.adjacency}: {verdict.status.value}",
         f"  {verdict.detail}",
@@ -303,7 +302,7 @@ def _cmd_adj_obstruct(args) -> int:
 def _cmd_adj_table(args) -> int:
     cluster = load_cluster_input(args.input)
     table = sorted(adjacency_table(cluster).items())
-    M, inverse = _cluster_lattice(cluster)
+    _, M, inverse = _cluster_lattice(cluster)
     lines = [f"adjacency table over {cluster.n} components (row f into column e):"]
     for (e, f), verdict in table:
         mark = "ruled out" if verdict.ruled_out else "not ruled out"
@@ -392,7 +391,7 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
 
 def _cmd_dfd_check(args) -> int:
     model = _load_wedge_model(args.input, args)
-    M, inverse = _cluster_lattice(model.cluster)
+    _, M, inverse = _cluster_lattice(model.cluster)
     b = solve_b(model)
     lines = [
         "canonical coefficients a = (" + ", ".join(map(str, model.a)) + ")",

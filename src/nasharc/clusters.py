@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .dual_graphs import DualGraph, GraphVertex
 from .errors import InternalInvariantError, ValidationError
@@ -72,14 +72,6 @@ class BlowupCluster:
 
     def geometry(self) -> "_Geometry":
         return self._geometry
-
-    def kept(self, build: Callable[["BlowupCluster"], object]):
-        """``build(self)``, computed once and kept on the immutable cluster as ``build.__name__``."""
-        value = self.__dict__.get(build.__name__)
-        if value is None:
-            value = build(self)
-            object.__setattr__(self, build.__name__, value)
-        return value
 
     def proximities(self, i: int) -> tuple[int, ...]:
         """Indices of the earlier centers whose components pass through point i."""
@@ -134,7 +126,8 @@ class _Geometry:
     During the replay each component through a center occupies one local
     coordinate axis of the chart there; the axis letters fix the chart kind
     of a later satellite, and the chart kinds fix the directions a free
-    point must avoid and the chart of every point (``plan``).
+    point must avoid and the chart of every point (``plan``).  The
+    proximities unfold P^-1 (``unfold``) into the ``curvette_rows``.
     """
 
     def __init__(self, points: tuple[ClusterPoint, ...]):
@@ -212,6 +205,34 @@ class _Geometry:
     def forbidden_slopes(self, component: int) -> set:
         """Directions on a component unavailable to a new free point."""
         return _forbidden_slopes(self.kinds, self.points, component)
+
+    def unfold(self, values) -> list[int]:
+        """P^-1 values, by forward substitution over the proximity lists:
+        out_i = values_i + the sum of out_j over the centers j that i is proximate to."""
+        out = list(values)
+        for i, here in enumerate(self.prox):
+            for j in here:
+                out[i] += out[j]
+        return out
+
+    @cached_property
+    def curvette_rows(self) -> tuple[tuple[int, ...], ...]:
+        """QQ^t with Q = P^-1, checked against the replay's lattice M: M QQ^t = -I.
+
+        Column k of Q unfolds the k-th unit vector; column f of QQ^t unfolds
+        row f of Q, and QQ^t is symmetric.  Row i of M QQ^t is self_ints[i]
+        times row i plus the rows of the components meeting component i.
+        """
+        n = len(self.prox)
+        q_cols = [self.unfold([int(i == k) for i in range(n)]) for k in range(n)]
+        rows = tuple(tuple(self.unfold(q_row)) for q_row in zip(*q_cols))
+        product = [[w * v for v in row] for w, row in zip(self.self_ints, rows)]
+        for a, b in self.edges:
+            product[a] = [u + v for u, v in zip(product[a], rows[b])]
+            product[b] = [u + v for u, v in zip(product[b], rows[a])]
+        if product != [[-int(i == j) for j in range(n)] for i in range(n)]:
+            raise InternalInvariantError("the replay's lattice times the curvette rows is not -I")
+        return rows
 
     @cached_property
     def plan(self) -> tuple[tuple[int, Tangent | None], ...]:
@@ -328,16 +349,6 @@ def intersection_from_proximity(P: ExactMatrix) -> ExactMatrix:
     return P.transpose().mul(P).neg()
 
 
-def _unfold(cluster: BlowupCluster, values) -> list[int]:
-    """P^-1 values, by forward substitution over the proximity lists:
-    out_i = values_i + the sum of out_j over the centers j that i is proximate to."""
-    out = list(values)
-    for i, here in enumerate(cluster.geometry().prox):
-        for j in here:
-            out[i] += out[j]
-    return out
-
-
 def canonical_coeffs(cluster: BlowupCluster) -> tuple[int, ...]:
     """Coefficients of the exceptional canonical divisor of the composite blow-up.
 
@@ -345,7 +356,7 @@ def canonical_coeffs(cluster: BlowupCluster) -> tuple[int, ...]:
     proximate to reproduces how the canonical class gains one plus the
     ambient coefficients under each point blow-up.
     """
-    return tuple(_unfold(cluster, [1] * cluster.n))
+    return tuple(cluster.geometry().unfold([1] * cluster.n))
 
 
 def germ_touch_count(cluster: BlowupCluster, last: int) -> int:

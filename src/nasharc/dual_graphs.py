@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -87,6 +88,18 @@ class DualGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _matrix(self) -> ExactMatrix:
+        index = {v.id: i for i, v in enumerate(self.vertices)}
+        rows = [[0] * self.n for _ in range(self.n)]
+        for i, v in enumerate(self.vertices):
+            rows[i][i] = v.self_int
+        for a, b in self.edges:
+            i, j = index[a], index[b]
+            rows[i][j] += 1
+            rows[j][i] += 1
+        return ExactMatrix.from_rows(rows)
 
     @property
     def ids(self) -> tuple[VertexId, ...]:
@@ -250,20 +263,7 @@ def intersection_matrix(graph: DualGraph) -> ExactMatrix:
 
     Built on the first call and kept on the graph; both are immutable.
     """
-    matrix = graph.__dict__.get("_intersection_matrix")
-    if matrix is None:
-        n = graph.n
-        index = {v.id: i for i, v in enumerate(graph.vertices)}
-        rows = [[0] * n for _ in range(n)]
-        for i, v in enumerate(graph.vertices):
-            rows[i][i] = v.self_int
-        for a, b in graph.edges:
-            i, j = index[a], index[b]
-            rows[i][j] += 1
-            rows[j][i] += 1
-        matrix = ExactMatrix.from_rows(rows)
-        object.__setattr__(graph, "_intersection_matrix", matrix)
-    return matrix
+    return graph._matrix
 
 
 # -- the standard ADE fixture catalog ---------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -161,31 +162,28 @@ class ExactMatrix:
 
     # -- the kept elimination and what reads it ----------------------------
 
+    @cached_property
     def _sweep(self) -> tuple[list[int], list[int], int, list[list[int]]]:
         """The one elimination of [M | I], run on first use and kept on the matrix.
 
         With rows scaled by s > 0, S = diag(s): the pivots before the first
         swap (the leading minors of S M), s, d = det(S M), and d M^-1 if d != 0.
         """
-        sweep = self.__dict__.get("_kept_sweep")
-        if sweep is None:
-            n = self.n
-            identity = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-            m, scales = _integer_rows(map(tuple.__add__, self.rows, identity))
-            pivots, leading = _eliminate(m)
-            det = 0 if len(pivots) < n else pivots[-1] if pivots else 1
-            sweep = (pivots[:leading], scales, det, [row[n:] for row in m])
-            object.__setattr__(self, "_kept_sweep", sweep)
-        return sweep
+        n = self.n
+        identity = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        m, scales = _integer_rows(map(tuple.__add__, self.rows, identity))
+        pivots, leading = _eliminate(m)
+        det = 0 if len(pivots) < n else pivots[-1] if pivots else 1
+        return pivots[:leading], scales, det, [row[n:] for row in m]
 
     def determinant(self) -> Fraction | int:
         """Exact determinant: det(S M) from the kept sweep over the row scales."""
-        _, scales, det, _ = self._sweep()
+        _, scales, det, _ = self._sweep
         return _quotient(det, prod(scales))
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse; raises SingularMatrixError on singular input."""
-        _, _, det, block = self._sweep()
+        _, _, det, block = self._sweep
         if det == 0:
             raise SingularMatrixError("matrix is singular, no exact inverse or solution")
         return ExactMatrix(tuple(tuple(_quotient(v, det) for v in row) for row in block))
@@ -195,7 +193,7 @@ class ExactMatrix:
         if len(rhs) != self.n:
             raise ValidationError("right-hand side has wrong length")
         (b,), (scale,) = _integer_rows([[_coerce(v) for v in rhs]])
-        _, _, det, block = self._sweep()
+        _, _, det, block = self._sweep
         if det == 0:
             raise SingularMatrixError("matrix is singular, no exact inverse or solution")
         return tuple(_quotient(sum(a * v for a, v in zip(row, b)), det * scale) for row in block)
@@ -219,7 +217,7 @@ def is_negative_definite(matrix: ExactMatrix) -> bool:
     """
     if not matrix.is_symmetric():
         raise ValidationError("negative-definiteness is only defined for symmetric matrices")
-    pivots = matrix._sweep()[0]
+    pivots = matrix._sweep[0]
     return len(pivots) == matrix.n and all((-1) ** (k + 1) * p > 0 for k, p in enumerate(pivots))
 
 

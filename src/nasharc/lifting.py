@@ -76,7 +76,7 @@ class WedgeNumericalModel:
 def solve_b(model: WedgeNumericalModel) -> tuple[int, ...]:
     """The unique b with (a - b) = M^{-1} (c + d), exactly.
 
-    The cluster keeps its curvette rows R = -M^{-1}, built as QQ^t from
+    The cluster's replay keeps its curvette rows R = -M^{-1}, built as QQ^t from
     the inverse proximity matrix Q = P^{-1}, so b = a + R (c + d) needs no
     elimination at all, and is integral since a, R, c and d are.
     """

@@ -20,6 +20,16 @@ from .rationals import Rational, canonical_rational, format_rational
 Monomial = tuple[int, int]
 
 
+def _coefficient(value) -> Rational:
+    """An exact coefficient: an ``int`` subclass other than ``bool`` as a plain
+    ``int``, a ``Fraction`` in canonical form; anything else is refused."""
+    if isinstance(value, Fraction):
+        return canonical_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValidationError(f"polynomial coefficients must be exact rationals, got {value!r}")
+
+
 class Poly2:
     """Immutable-by-convention sparse polynomial in x and y."""
 
@@ -27,7 +37,7 @@ class Poly2:
 
     def __init__(self, terms: dict[Monomial, Rational] | None = None):
         items = (terms or {}).items()
-        self.terms = {k: v if type(v) is int else canonical_rational(v) for k, v in items if v}
+        self.terms = {k: c for k, v in items if (c := v if type(v) is int else _coefficient(v))}
 
     # -- constructors --------------------------------------------------------
 
@@ -269,7 +279,8 @@ def parse_poly(text: str) -> Poly2:
                     raise ValidationError("polynomial parse error: expected an exponent")
                 exp = number(value2)
             return Poly2.monomial(exp, 0) if value == "x" else Poly2.monomial(0, exp)
-        raise ValidationError(f"polynomial parse error: expected a factor, got {value!r}")
+        got = "the end of the germ text" if kind is None else repr(value)
+        raise ValidationError(f"polynomial parse error: expected a factor, got {got}")
 
     def parse_term() -> Poly2:
         result = parse_factor()

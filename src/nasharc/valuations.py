@@ -16,33 +16,21 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import count
-from operator import mul
 
-from .clusters import BlowupCluster, _check_index, _unfold, closure_indices, simulate
+from .clusters import BlowupCluster, _check_index, closure_indices, simulate
 from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
 from .rationals import INF
 
+# The largest deg x(t) + deg y(t) of the pushed-down parametrization of an
+# explicit curvette (``curvette_polynomial``); chain24 reaches it at point 22.
+MAX_CURVETTE_DEGREE = 24
+
 
 def cluster_matrix(cluster: BlowupCluster) -> ExactMatrix:
     return intersection_matrix(simulate(cluster))
-
-
-def _curvette_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
-    """QQ^t with Q = P^-1, checked against the simulated lattice: M QQ^t = -I.
-
-    Column k of Q unfolds the k-th unit vector.  Column f of QQ^t unfolds
-    row f of Q, and QQ^t is symmetric, so its columns are its rows.
-    """
-    n = cluster.n
-    q_cols = [_unfold(cluster, [int(i == k) for i in range(n)]) for k in range(n)]
-    rows = tuple(tuple(_unfold(cluster, q_row)) for q_row in zip(*q_cols))
-    for i, m_row in enumerate(cluster_matrix(cluster).rows):
-        if [sum(map(mul, m_row, col)) for col in rows] != [-int(i == j) for j in range(n)]:
-            raise InternalInvariantError("simulated lattice times curvette rows is not -I")
-    return rows
 
 
 def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
@@ -50,11 +38,11 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
 
     Entry (e, i) is the order of vanishing along component e of a germ
     whose strict transform crosses component i transversely at a general
-    point.  The rows are QQ^t with Q = P^-1, integral by construction, and
-    are checked once per cluster against the simulated lattice M: their
-    product must be -I, or InternalInvariantError is raised.
+    point.  The rows are QQ^t with Q = P^-1, integral by construction,
+    kept on the cluster's replay and checked once against the simulated
+    lattice M: their product must be -I, or InternalInvariantError is raised.
     """
-    return cluster.kept(_curvette_rows)
+    return cluster.geometry().curvette_rows
 
 
 def curvette_orders(cluster: BlowupCluster, e: int) -> tuple[int, ...]:
@@ -96,7 +84,7 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
 def _orders(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """Orders of g along ``points``: ord_i = m_i + the orders at the centers i is proximate to.
     The unfold covers every center; callers read only ``points``, which is closed under proximity."""
-    return _unfold(cluster, _multiplicities(cluster, g, points))
+    return cluster.geometry().unfold(_multiplicities(cluster, g, points))
 
 
 def multiplicities(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
@@ -186,8 +174,8 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     of a curve is its equation substituted back and rid of the exceptional
     divisor.  The germ is scaled as the resultant Res_t(x(t) - x, y(t) - y)
     of the line's pushed-down parametrization, whose degrees may sum to at
-    most 24, else ValidationError.  Its orders along the proximity closure
-    of i must be column i of the curvette rows there, else
+    most MAX_CURVETTE_DEGREE, else ValidationError.  Its orders along the
+    proximity closure of i must be column i of the curvette rows there, else
     InternalInvariantError.  That holds exactly when x(t) is a monomial (on
     every tangent cluster of <= 5 points over 0, 1, -1, inf); else another
     root of x(t) also reaches the origin, e.g. x = t^2 (t + 1), y = t (t + 1)
@@ -214,8 +202,10 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
             g, dx, lx = g.blow_down_inf(), dx + dy, lx * ly
         else:
             g, dy, ly = g.blow_down_free(tangent), dx + dy, lx * ly
-        if dx + dy > 24:
-            raise ValidationError("explicit curvettes are limited to parametrizations of total degree 24")
+        if dx + dy > MAX_CURVETTE_DEGREE:
+            raise ValidationError(
+                f"explicit curvettes are limited to parametrizations of total degree {MAX_CURVETTE_DEGREE}"
+            )
         j = parent
     # the resultant's pure y^dx coefficient is lc(x(t))^dy times (-1)^dx from the y(t) - y factors
     g = g.scale(Fraction((-1) ** dx * lx**dy) / g.terms[(0, dx)])

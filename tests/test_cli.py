@@ -356,6 +356,27 @@ def test_pair_canon_provenance_needs_store(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _cluster_requests(tmp_path):
+    """One request of every cluster command, the wedge model written into tmp_path."""
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({
+            "schema": "wedgemodel/1", "cluster": "chain4", "special": 3,
+            "c": [0, 1, 0, 0], "d": [0, 0, 2, 1], "b": ["1", "2", "3", "4"],
+        }),
+        encoding="utf-8",
+    )
+    return [
+        ["cluster", "build", "chain20"],
+        ["val", "compare", "chain20", "3", "17"],
+        ["val", "ord", "chain5", "4", "--poly", "y - x^3"],
+        ["adj", "obstruct", "chain20", "3", "17"],
+        ["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0"],
+        ["adj", "table", "chain20"],
+        ["dfd", "check", str(model), "--minimal-target", "--assert-b1-lt-1"],
+    ]
+
+
 def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeypatch):
     from nasharc import ExactMatrix
 
@@ -367,24 +388,7 @@ def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeyp
         return inverse(self)
 
     monkeypatch.setattr(ExactMatrix, "inverse", spy)
-    model = tmp_path / "model.json"
-    model.write_text(
-        json.dumps({
-            "schema": "wedgemodel/1", "cluster": "chain4", "special": 3,
-            "c": [0, 1, 0, 0], "d": [0, 0, 2, 1], "b": ["1", "2", "3", "4"],
-        }),
-        encoding="utf-8",
-    )
-    requests = [
-        ["cluster", "build", "chain20"],
-        ["val", "compare", "chain20", "3", "17"],
-        ["val", "ord", "chain5", "4", "--poly", "y - x^3"],
-        ["adj", "obstruct", "chain20", "3", "17"],
-        ["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0"],
-        ["adj", "table", "chain20"],
-        ["dfd", "check", str(model), "--minimal-target", "--assert-b1-lt-1"],
-    ]
-    for argv in requests:
+    for argv in _cluster_requests(tmp_path):
         for fmt in ("text", "structured"):
             calls.clear()
             code, _, err = run_cli(capsys, *argv, "--format", fmt)
@@ -394,6 +398,37 @@ def test_each_request_inverts_its_lattice_at_most_once(tmp_path, capsys, monkeyp
     calls.clear()
     code, _, _ = run_cli(capsys, "graph", "check", "E8")
     assert code == 0 and calls == [8]
+
+
+def test_each_cluster_request_simulates_once_and_builds_one_lattice(tmp_path, capsys, monkeypatch):
+    import sys
+
+    from nasharc import DualGraph, simulate
+
+    simulations, lattices = [], []
+
+    def simulate_spy(cluster):
+        simulations.append(cluster.n)
+        return simulate(cluster)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nasharc") and getattr(module, "simulate", None) is simulate:
+            monkeypatch.setattr(module, "simulate", simulate_spy)
+    kept_matrix = DualGraph.__dict__["_matrix"]
+    build = kept_matrix.func
+
+    def build_spy(graph):
+        lattices.append(graph.n)
+        return build(graph)
+
+    monkeypatch.setattr(kept_matrix, "func", build_spy)
+    for argv in _cluster_requests(tmp_path):
+        for fmt in ("text", "structured"):
+            simulations.clear()
+            lattices.clear()
+            code, _, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0, err
+            assert len(simulations) == 1 and lattices == simulations, (argv, simulations, lattices)
 
 
 def test_cluster_requests_eliminate_only_what_their_reports_ask_for(tmp_path, capsys, monkeypatch):
@@ -425,17 +460,16 @@ def test_cluster_requests_eliminate_only_what_their_reports_ask_for(tmp_path, ca
 
 
 def test_wrong_lattice_fails_the_curvette_row_check(capsys, monkeypatch):
-    import nasharc.valuations as valuations
-    from nasharc import ExactMatrix, InternalInvariantError, curvette_order_rows
+    import nasharc.clusters as clusters
+    from nasharc import InternalInvariantError, curvette_order_rows
 
-    simulated = valuations.cluster_matrix
+    replay = clusters._Geometry.__init__
 
-    def off_by_one(cluster):
-        rows = [list(row) for row in simulated(cluster).rows]
-        rows[0][0] -= 1
-        return ExactMatrix.from_rows(rows)
+    def off_by_one(self, points):
+        replay(self, points)
+        self.self_ints = (self.self_ints[0] - 1,) + self.self_ints[1:]
 
-    monkeypatch.setattr(valuations, "cluster_matrix", off_by_one)
+    monkeypatch.setattr(clusters._Geometry, "__init__", off_by_one)
     with pytest.raises(InternalInvariantError):
         curvette_order_rows(cluster_fixture("chain5"))
     code, out, err = run_cli(capsys, "val", "compare", "chain20", "3", "17")

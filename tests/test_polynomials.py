@@ -28,6 +28,14 @@ def test_parse_errors():
             parse_poly(bad)
 
 
+def test_end_of_input_is_named_as_such():
+    for bad in ("y -", "x *", "-"):
+        with pytest.raises(ValidationError, match="expected a factor, got the end of the germ text$"):
+            parse_poly(bad)
+    with pytest.raises(ValidationError, match=r"expected a factor, got '\^'"):
+        parse_poly("x * ^")
+
+
 def test_germ_total_degree_is_capped():
     d = MAX_GERM_DEGREE
     assert parse_poly(f"y^{d} + x^{d // 2}*y^{d - d // 2} + 3*x^{d}").multiplicity() == d
@@ -145,6 +153,36 @@ def test_integral_coefficients_are_ints():
     assert _coefficient_types(parse_poly("2*x + 4*y").exact_div(parse_poly("4*x + 8*y"))) == {Fraction}
     assert _coefficient_types(parse_poly("2/3*x")) == {Fraction}
     assert _coefficient_types(parse_poly("y - 2/3*x^2").subst_free(Fraction(1, 2))) == {int, Fraction}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(0, 1): 1.5, (1, 0): 1}, {(0, 1): 1, (1, 0): True}, {(0, 0): 0.0}, {(0, 0): False},
+     {(0, 0): "1"}, {(0, 0): None}, {(0, 0): complex(1, 0)}],
+)
+def test_inexact_coefficients_are_refused(terms):
+    with pytest.raises(ValidationError, match="exact rationals"):
+        Poly2(terms)
+
+
+def test_floats_are_refused_by_every_constructor():
+    with pytest.raises(ValidationError):
+        Poly2.constant(0.5)
+    with pytest.raises(ValidationError):
+        Poly2.monomial(1, 0, 2.0)
+    with pytest.raises(ValidationError):
+        Poly2.constant(1).scale(2.0)
+    with pytest.raises(ValidationError):
+        parse_poly("x").subst_free(0.5)
+
+
+def test_int_subclass_coefficients_become_plain_ints():
+    class Tally(int):
+        pass
+
+    poly = Poly2({(1, 0): Tally(3), (0, 1): Fraction(4, 2)})
+    assert poly.terms == {(1, 0): 3, (0, 1): 2}
+    assert _coefficient_types(poly) == {int}
 
 
 def test_equal_polynomials_hash_equal():

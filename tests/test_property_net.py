@@ -8,8 +8,13 @@ is checked; none is filtered out.  The runs are derandomized with a fixed
 example budget, so they are reproducible.
 """
 
+import contextlib
+import io
+import json
+import tempfile
 from fractions import Fraction
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 from helpers import eliminate_parameter, pushed_parametrization
@@ -33,14 +38,13 @@ from nasharc import (
     simulate,
     strict_transform_profile,
 )
+from nasharc import cli
 from nasharc.clusters import MAX_POINTS
 from nasharc.valuations import ord_vector
 
 TANGENTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3), Fraction(3), INF)
-GERMS = tuple(
-    parse_poly(text)
-    for text in ("x", "y - x", "y^2 - x^3", "3*y + 2*x", "y^3 - 2/3*x^2*y + 5/7*x^4", "x^2 - 4*y^3")
-)
+GERM_TEXTS = ("x", "y - x", "y^2 - x^3", "3*y + 2*x", "y^3 - 2/3*x^2*y + 5/7*x^4", "x^2 - 4*y^3")
+GERMS = tuple(parse_poly(text) for text in GERM_TEXTS)
 
 
 @st.composite
@@ -120,3 +124,40 @@ def test_tangent_clusters_curvette_at_a_drawn_point(data):
             curvette_polynomial(cluster, i)
     else:
         assert curvette_polynomial(cluster, i) == eliminate_parameter(x_t, y_t)
+
+
+def _no_float(text):
+    raise AssertionError(f"a structured report holds the non-integer number {text}")
+
+
+@settings(derandomize=True, database=None, max_examples=70, deadline=None)
+@given(st.data())
+def test_structured_reports_round_trip_through_json(data):
+    """Every cluster report, written for a drawn cluster document, parses with
+    no float in it and re-serializes to the same bytes."""
+    cluster = data.draw(clusters(TANGENTS))
+    n = cluster.n
+    e = data.draw(st.integers(0, n - 1))
+    f = (e + data.draw(st.integers(1, n - 1))) % n if n > 1 else e
+    returns = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    germ = data.draw(st.sampled_from(GERM_TEXTS))
+    with tempfile.TemporaryDirectory() as scratch:
+        doc = Path(scratch) / "cluster.json"
+        doc.write_text(json.dumps(cluster.to_doc()), encoding="utf-8")
+        requests = [
+            ["cluster", "build", str(doc)],
+            ["val", "compare", str(doc), str(e), str(f)],
+            ["adj", "table", str(doc)],
+            ["val", "ord", str(doc), str(e), "--poly", germ],
+        ]
+        if e != f:  # an adjacency needs two components
+            requests.append(
+                ["adj", "obstruct", str(doc), str(e), str(f), "--returns", ",".join(map(str, returns))]
+            )
+        for argv in requests:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.run(argv + ["--format", "structured"])
+            assert code == 0, argv
+            report = json.loads(out.getvalue(), parse_float=_no_float, parse_constant=_no_float)
+            assert json.dumps(report, indent=2, sort_keys=True) + "\n" == out.getvalue()

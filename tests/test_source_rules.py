@@ -3,7 +3,8 @@
 The package imports only the standard library and itself, never touches a
 float (every answer rests on exact signs and integrality), and raises
 ``InternalInvariantError`` rather than using ``assert``, which ``python -O``
-strips.
+strips.  A value keeps what it derives in a ``functools.cached_property``,
+never in a hand-written ``__dict__`` memo.
 """
 
 import ast
@@ -41,3 +42,7 @@ def test_no_float_literal_or_float_name():
 
 def test_no_assert_statement():
     assert [where for where, _ in _nodes(ast.Assert)] == []
+
+
+def test_no_dict_attribute_access():
+    assert [where for where, node in _nodes(ast.Attribute) if node.attr == "__dict__"] == []

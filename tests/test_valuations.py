@@ -86,14 +86,14 @@ def test_curvette_rows_match_adjugate_oracle():
 def test_plans_and_curvette_rows_are_built_on_first_use():
     # lattice_sweep keeps every enumerated cluster: an eager memo would grow its peak RSS
     swept = list(enumerate_proximity_structures(5))
-    assert not any("plan" in c.geometry().__dict__ or "_curvette_rows" in c.__dict__ for c in swept)
+    assert not any({"plan", "curvette_rows"} & c.geometry().__dict__.keys() for c in swept)
     cluster = cluster_fixture("satellite3")
     assert ord_vector(cluster, parse_poly("y^2 - x^3")) == (2, 3, 6)
     plan = cluster.geometry().plan
     assert plan == ((0, None), (0, 0), (1, INF))
     assert cluster.geometry().__dict__["plan"] is plan
     curvette_polynomial(cluster, 2)
-    assert cluster.geometry().plan is plan and "_curvette_rows" in cluster.__dict__
+    assert cluster.geometry().plan is plan and "curvette_rows" in cluster.geometry().__dict__
 
 
 def test_ord_poly_examples():
