@@ -107,7 +107,11 @@ def load_graph_input(source: str) -> DualGraph:
 def load_cluster_input(source: str) -> BlowupCluster:
     """A path to a cluster document, or the name of a built-in cluster fixture."""
     if os.path.exists(source):
-        return cluster_from_doc(_read_json(source))
+        doc = _read_json(source)
+        try:
+            return cluster_from_doc(doc)
+        except ValidationError as exc:
+            raise ValidationError(f"{source}: {exc}") from None
     name = _strip_fixture_prefix(source)
     try:
         return cluster_fixture(name)

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 from .dual_graphs import DualGraph, GraphVertex
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
-from .rationals import INF, Tangent, _Infinity, canonical_rational, format_tangent, parse_tangent
+from .rationals import INF, Tangent, canonical_rational, format_tangent, is_exact_int, parse_tangent
 
 MAX_POINTS = 24
 # The index tuples a replay keeps (proximities, surviving intersections),
@@ -152,26 +152,27 @@ class _Geometry:
                 continue
 
             parent = point.parent
-            if parent is None or not isinstance(parent, int) or isinstance(parent, bool):
+            if not is_exact_int(parent):
                 raise ValidationError(f"points[{i}].parent: expected an index below {i}")
             if not 0 <= parent < i:
                 raise ValidationError(f"points[{i}].parent: index {parent} must be below {i}")
 
             if point.satellite_of is None:
                 tangent = point.tangent
-                if tangent is not None and not isinstance(tangent, (Fraction, int, _Infinity)):
-                    raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
-                if tangent is not None and tangent in _forbidden_slopes(kinds, points[:i], parent):
-                    raise ValidationError(
-                        f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
-                        f"{parent} is already occupied by another component or sibling"
-                    )
+                if tangent is not None:
+                    if not (tangent is INF or isinstance(tangent, Fraction) or is_exact_int(tangent)):
+                        raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
+                    if tangent in _forbidden_slopes(kinds, points[:i], parent):
+                        raise ValidationError(
+                            f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
+                            f"{parent} is already occupied by another component or sibling"
+                        )
                 here = _SINGLES[parent]
-                kind = "free_inf" if isinstance(tangent, _Infinity) else "free"
+                kind = "free_inf" if tangent is INF else "free"
                 chart = {parent: "y" if kind == "free_inf" else "x"}
             else:
                 other = point.satellite_of
-                if not isinstance(other, int) or isinstance(other, bool) or not 0 <= other < i:
+                if not is_exact_int(other) or not 0 <= other < i:
                     raise ValidationError(f"points[{i}].satellite_of: index must be below {i}")
                 if other == parent:
                     raise ValidationError(f"points[{i}].satellite_of: must differ from parent")
@@ -275,10 +276,10 @@ def validate_cluster_doc(doc) -> list[str]:
             if parent is not None:
                 diags.append(f"{where}.parent: the origin has no parent")
             continue
-        if isinstance(parent, bool) or not isinstance(parent, int) or not 0 <= parent < k:
+        if not is_exact_int(parent) or not 0 <= parent < k:
             diags.append(f"{where}.parent: expected an index below {k}")
         sat = p.get("satellite_of")
-        if sat is not None and (isinstance(sat, bool) or not isinstance(sat, int) or not 0 <= sat < k or sat == parent):
+        if sat is not None and (not is_exact_int(sat) or not 0 <= sat < k or sat == parent):
             diags.append(f"{where}.satellite_of: expected a distinct index below {k}")
         tangent = p.get("tangent")
         if tangent is not None:
@@ -389,7 +390,7 @@ def germ_touch_count(cluster: BlowupCluster, last: int) -> int:
 
 
 def _check_index(cluster: BlowupCluster, i: int):
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < cluster.n:
+    if not is_exact_int(i) or not 0 <= i < cluster.n:
         raise ValidationError(f"point index {i!r} out of range for a {cluster.n}-point cluster")
 
 
@@ -453,6 +454,8 @@ def enumerate_proximity_structures(max_points: int) -> Iterator[BlowupCluster]:
     satellite on one of the surviving intersections; enumeration follows
     the creation order, so distinct sequences are reported separately.
     """
+    if not is_exact_int(max_points):
+        raise ValidationError(f"max_points must be an integer, got {max_points!r}")
     if max_points > MAX_POINTS:
         raise ValidationError(f"enumeration capped at {MAX_POINTS} points")
     if max_points < 1:

@@ -16,12 +16,13 @@ from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .exact_linalg import ExactMatrix
+from .rationals import is_exact_int
 
 VertexId = int | str
 
 
 def _id_key(vid: VertexId):
-    return (0, vid) if isinstance(vid, int) else (1, vid)
+    return (1, vid) if isinstance(vid, str) else (0, vid)
 
 
 def _dot_quote(value) -> str:
@@ -41,11 +42,11 @@ class GraphVertex:
     labels: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if isinstance(self.id, bool) or not isinstance(self.id, (int, str)):
+        if not (is_exact_int(self.id) or isinstance(self.id, str)):
             raise ValidationError(f"vertex id must be an int or string, got {self.id!r}")
-        if not isinstance(self.self_int, int) or isinstance(self.self_int, bool):
+        if not is_exact_int(self.self_int):
             raise ValidationError(f"self-intersection of {self.id!r} must be an integer")
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
+        if not is_exact_int(self.genus) or self.genus < 0:
             raise ValidationError(f"genus of vertex {self.id!r} must be a non-negative integer")
         object.__setattr__(self, "labels", frozenset(self.labels))
 
@@ -207,17 +208,17 @@ def validate_graph_doc(doc) -> list[str]:
             diags.append(f"{where}: expected an object")
             continue
         vid = v.get("id")
-        if isinstance(vid, bool) or not isinstance(vid, (int, str)):
+        if not (is_exact_int(vid) or isinstance(vid, str)):
             diags.append(f"{where}.id: expected an int or string")
         elif vid in seen:
             diags.append(f"{where}.id: duplicate id {vid!r}")
         else:
             seen.add(vid)
         si = v.get("self_int")
-        if isinstance(si, bool) or not isinstance(si, int):
+        if not is_exact_int(si):
             diags.append(f"{where}.self_int: expected an integer")
         genus = v.get("genus", 0)
-        if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
+        if not is_exact_int(genus) or genus < 0:
             diags.append(f"{where}.genus: expected a non-negative integer")
         labels = v.get("labels", [])
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dual_graphs import DualGraph, VertexId, intersection_matrix
 from .errors import InternalInvariantError, ValidationError
+from .rationals import is_exact_int
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,10 @@ class EulerInput:
             raise ValidationError(
                 f"expected {self.graph.n} coefficients, got {len(self.coeffs)}"
             )
-        if any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in self.coeffs):
+        if any(not is_exact_int(a) or a < 0 for a in self.coeffs):
             raise ValidationError("limit-divisor coefficients must be non-negative integers")
+        if not (is_exact_int(self.attach) or isinstance(self.attach, str)):  # 1.0 and True equal 1
+            raise ValidationError(f"attachment id must be an int or string, got {self.attach!r}")
         self.graph.index_of(self.attach)
 
     @property

@@ -25,19 +25,15 @@ from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, SingularMatrixError, ValidationError
-from .rationals import canonical_rational, format_rational, parse_rational
+from .rationals import canonical_rational, exact_rational, format_rational, parse_rational
 
 
 def _coerce(value) -> Fraction | int:
     if type(value) is int:
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
     if isinstance(value, str):
         value = parse_rational(value)
-    if isinstance(value, Fraction):
-        return canonical_rational(value)
-    raise ValidationError(f"matrix entries must be exact rationals, got {value!r}")
+    return exact_rational(value, "matrix entries")
 
 
 def _quotient(num: int, den: int) -> Fraction | int:

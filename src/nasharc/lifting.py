@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .clusters import BlowupCluster, canonical_coeffs
 from .errors import ValidationError
-from .rationals import Rational, format_rational
+from .rationals import Rational, exact_rational, format_rational, is_exact_int
 from .valuations import curvette_order_rows
 
 
@@ -45,15 +45,15 @@ class WedgeNumericalModel:
 
     def __post_init__(self):
         n = self.cluster.n
-        if isinstance(self.special, bool) or not isinstance(self.special, int):
+        if not is_exact_int(self.special):
             raise ValidationError(f"special component must be an integer, got {self.special!r}")
         if not 0 <= self.special < n:
             raise ValidationError(f"special component {self.special} out of range")
         if len(self.c) != n or len(self.d) != n:
             raise ValidationError(f"c and d must have length {n}")
-        if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in self.c):
+        if any(not is_exact_int(v) or v < 0 for v in self.c):
             raise ValidationError("horizontal intersection numbers c must be non-negative integers")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in self.d):
+        if not all(map(is_exact_int, self.d)):
             raise ValidationError("pulled-back intersection numbers d must be integers")
         if self.minimal_target and any(v < 0 for v in self.d):
             raise ValidationError(
@@ -63,10 +63,12 @@ class WedgeNumericalModel:
         if self.coeffs is not None:
             if len(self.coeffs) != n:
                 raise ValidationError(f"coefficient vector must have length {n}")
-            if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in self.coeffs):
+            if any(not is_exact_int(v) or v < 0 for v in self.coeffs):
                 raise ValidationError("canonical coefficients must be non-negative integers")
-        if self.b is not None and len(self.b) != n:
-            raise ValidationError(f"b must have length {n}")
+        if self.b is not None:
+            if len(self.b) != n:
+                raise ValidationError(f"b must have length {n}")
+            object.__setattr__(self, "b", tuple(exact_rational(v, "entries of b") for v in self.b))
 
     @property
     def a(self) -> tuple[int, ...]:

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .exact_linalg import ExactMatrix
 from .polynomials import Poly2
-from .rationals import format_rational
+from .rationals import format_rational, is_exact_int
 from .valuations import _first_smaller_curvette, _orders, curvette_order_rows
 
 
@@ -229,15 +229,16 @@ def returns_system(
         raise ValidationError("off-diagonal intersection numbers must be non-negative")
     if len(b) != n:
         raise ValidationError(f"returns profile has length {len(b)}, expected {n}")
-    if any((isinstance(v, bool) or not isinstance(v, int) or v < 0) for v in b):
+    if any(not is_exact_int(v) or v < 0 for v in b):
         raise ValidationError("returns counts must be non-negative integers")
+    if not is_exact_int(special_index):
+        raise ValidationError(f"special component index must be an integer, got {special_index!r}")
     if not 0 <= special_index < n:
         raise ValidationError(f"special component index {special_index} out of range")
 
-    rhs = tuple(int(v) - (1 if i == special_index else 0) for i, v in enumerate(b))
-    printed_rhs = tuple(
-        (1 - int(v)) if i == special_index else int(v) for i, v in enumerate(b)
-    )
+    b = tuple(map(int, b))
+    rhs = tuple(v - (1 if i == special_index else 0) for i, v in enumerate(b))
+    printed_rhs = tuple((1 - v) if i == special_index else v for i, v in enumerate(b))
     solution = M.solve(rhs)
     printed_solution = M.solve(printed_rhs)
 
@@ -252,7 +253,7 @@ def returns_system(
             (special_index, "special entry vanishes although the wedge must not lift")
         )
 
-    adjacency = f"wedge with returns {tuple(int(v) for v in b)} through component {special_index}"
+    adjacency = f"wedge with returns {b} through component {special_index}"
     if offending:
         verdict = ObstructionVerdict(
             ObstructionStatus.RULED_OUT,

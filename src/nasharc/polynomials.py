@@ -15,19 +15,9 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InternalInvariantError, ValidationError
-from .rationals import Rational, canonical_rational, format_rational
+from .rationals import Rational, canonical_rational, exact_rational, format_rational
 
 Monomial = tuple[int, int]
-
-
-def _coefficient(value) -> Rational:
-    """An exact coefficient: an ``int`` subclass other than ``bool`` as a plain
-    ``int``, a ``Fraction`` in canonical form; anything else is refused."""
-    if isinstance(value, Fraction):
-        return canonical_rational(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
-    raise ValidationError(f"polynomial coefficients must be exact rationals, got {value!r}")
 
 
 class Poly2:
@@ -37,7 +27,8 @@ class Poly2:
 
     def __init__(self, terms: dict[Monomial, Rational] | None = None):
         items = (terms or {}).items()
-        self.terms = {k: c for k, v in items if (c := v if type(v) is int else _coefficient(v))}
+        what = "polynomial coefficients"
+        self.terms = {k: c for k, v in items if (c := v if type(v) is int else exact_rational(v, what))}
 
     # -- constructors --------------------------------------------------------
 

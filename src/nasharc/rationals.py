@@ -1,8 +1,10 @@
 """Exact rational scalars and the point-at-infinity tangent marker.
 
-Every numeric quantity in this package is an ``int`` or a
-``fractions.Fraction``; floating point is never used, since all criteria
-implemented here hinge on exact signs and integrality.
+Every numeric quantity in this package is an ``int`` or a ``Fraction``, never
+a float: all criteria here hinge on exact signs and integrality.  This module
+alone says what is exact: ``is_exact_int`` (an ``int``, never a ``bool``) for
+indices and counts, ``exact_rational`` (such an ``int`` or a ``Fraction``) for
+matrix entries, coefficients and tangents.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ Rational = Fraction | int
 Tangent = Fraction | int | _Infinity
 
 
+def is_exact_int(value) -> bool:
+    """An ``int`` other than a ``bool``: the one test for an exact integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse ``"p/q"`` or an integer literal into an exact Fraction."""
-    if isinstance(text, bool):
-        raise ValidationError(f"expected a rational number, got {text!r}")
-    if isinstance(text, int):
+    if is_exact_int(text):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -53,6 +58,15 @@ def parse_rational(text: str | int) -> Fraction:
 def canonical_rational(value: Rational) -> Rational:
     """The ``int`` for an integral value, the ``Fraction`` itself for a true quotient."""
     return value.numerator if type(value) is Fraction and value.denominator == 1 else value
+
+
+def exact_rational(value, what: str) -> Rational:
+    """An exact scalar as a plain ``int`` or a canonical ``Fraction``, else ValidationError."""
+    if is_exact_int(value):
+        return int(value)
+    if isinstance(value, Fraction):
+        return canonical_rational(value)
+    raise ValidationError(f"{what} must be exact rationals, got {value!r}")
 
 
 def format_rational(value: Rational) -> str:

@@ -1,14 +1,14 @@
 """Divisorial valuations attached to the components of a blow-up cluster.
 
-Two independent routes to the same numbers live here.  The lattice route
-reads orders of vanishing off the curvette rows QQ^t = -M^-1, Q = P^-1,
-checked once per cluster against the simulated lattice M: row e lists the
-orders, along the e-th component, of smooth germs transverse to each
-component.  The polynomial route transforms an explicit germ through the
-chart chain of the cluster, read off the chart plan its replay keeps
-(``cluster.geometry().plan``), and accumulates multiplicities of strict
-transforms by the proximity recursion.  Their agreement is one of the
-package's acceptance gates.
+Two routes to orders of vanishing live here.  The lattice route reads them
+off the curvette rows QQ^t = -M^-1, Q = P^-1 (row e: orders along component e
+of smooth germs transverse to each component).  The polynomial route pushes a
+germ down the cluster's chart plan (``cluster.geometry().plan``) and unfolds
+the multiplicities m of its strict transforms.  Both read the same m (orders
+P^-1 m, profile P^t m), so rows . profile = orders for any m: their agreement,
+an acceptance gate, checks the replay's proximity bookkeeping and the
+proximity inequality.  The chart arithmetic is checked by the self-check of
+``curvette_polynomial`` and by the tests' Sylvester and sympy oracles.
 """
 
 from __future__ import annotations

@@ -57,6 +57,26 @@ def test_graph_check_document_and_diagnostics(tmp_path, capsys):
     assert "loop" in err
 
 
+def test_cluster_document_errors_name_their_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "cluster/1", "points": [{}, {"parent": 3}]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "cluster", "build", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: {bad}: invalid cluster document: points[1].parent: ")
+    # the replay's refusals too: the schema allows two points with one direction
+    taken = tmp_path / "taken.json"
+    points = [{}, {"parent": 0, "tangent": "1"}, {"parent": 0, "tangent": "1"}]
+    taken.write_text(json.dumps({"schema": "cluster/1", "points": points}), encoding="utf-8")
+    code, _, err = run_cli(capsys, "cluster", "build", str(taken))
+    assert code == 2 and err.startswith(f"error: {taken}: points[2].tangent: direction 1 ")
+    # and a wedge model that references the file
+    model = tmp_path / "model.json"
+    doc = {"schema": "wedgemodel/1", "cluster": str(bad), "special": 1, "c": [0, 0], "d": [0, 0]}
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "dfd", "check", str(model))
+    assert code == 2 and err.startswith(f"error: {bad}: invalid cluster document: ")
+
+
 def _chain_doc(n):
     return {
         "schema": "dualgraph/1",

@@ -192,6 +192,11 @@ def test_validation_rules():
     with pytest.raises(ValidationError):
         # satellites carry no tangent
         BlowupCluster.from_specs([(None,), (0,), (1, 0, Fraction(2))])
+    # True == 1 and False == 0: a bool tangent would be walked as slope 1 or 0
+    with pytest.raises(ValidationError, match=r"points\[1\]\.tangent: expected a rational or inf"):
+        BlowupCluster.from_specs([(None,), (0, None, True), (1, None, False)])
+    with pytest.raises(ValidationError, match=r"points\[2\]\.tangent: expected a rational or inf"):
+        BlowupCluster.from_specs([(None,), (0, None, 1), (1, None, False)])
 
 
 def test_tangent_collision_rules():
@@ -227,8 +232,9 @@ def test_enumeration_counts():
 
 
 def test_enumeration_refuses_empty_bounds():
-    # a bound below 1 would grow clusters toward MAX_POINTS without end
-    for max_points in (0, -2, MAX_POINTS + 1):
+    # a bound below 1, or one such as 2.5 that no size reaches, would grow
+    # clusters toward MAX_POINTS without end; 3.0 and True would act as 3 and 1
+    for max_points in (0, -2, MAX_POINTS + 1, 3.0, True, 2.5, "3", None):
         start = time.perf_counter()
         with pytest.raises(ValidationError):
             enumerate_proximity_structures(max_points)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import random_decorated_graph
@@ -117,6 +118,9 @@ def test_validation():
         EulerInput(graph, (1, -1), 0)  # negative coefficient
     with pytest.raises(ValidationError):
         EulerInput(graph, (1, 1), 9)  # unknown attach
+    for attach in (1.0, True, Fraction(1)):  # each equals the vertex id 1
+        with pytest.raises(ValidationError, match="attachment id must be an int or string"):
+            EulerInput(graph, (1, 1), attach)
 
 
 def test_certificate_doc():

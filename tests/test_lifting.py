@@ -165,6 +165,12 @@ def test_model_validation():
     for special in ("0", 0.0, True, None):
         with pytest.raises(ValidationError, match="special"):
             WedgeNumericalModel(ONE_POINT, special, (0,), (0,))
+    # (2, 4) is the solved b, so a float copy of it would verify
+    for b in ((2.0, 4.0), (True, 4), ("2", 4), (2, None)):
+        with pytest.raises(ValidationError, match="entries of b must be exact rationals"):
+            WedgeNumericalModel(CHAIN2, 1, (0, 0), (0, 1), b=b)
+    model = WedgeNumericalModel(CHAIN2, 1, (0, 0), (0, 1), b=(Fraction(2), 4))
+    assert model.b == (2, 4) and type(model.b[0]) is int and verify_numerical(model)
 
 
 def test_verdict_doc():

@@ -206,6 +206,11 @@ def test_returns_system_validation():
         returns_system(ExactMatrix.from_rows([[-2, -1], [-1, -2]]), (0, 0), 0)
     with pytest.raises(ValidationError):
         returns_system(ExactMatrix.from_rows([[Fraction(1, 2)]]), (0,), 0)
+    # True, 1.0 and Fraction(1) equal 1, and would solve for component 1
+    a2 = intersection_matrix(standard_fixture("A2"))
+    for special in (True, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValidationError, match="special component index must be an integer"):
+            returns_system(a2, (0, 0), special)
 
 
 def test_adjacency_table_satellite():

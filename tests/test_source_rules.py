@@ -4,7 +4,9 @@ The package imports only the standard library and itself, never touches a
 float (every answer rests on exact signs and integrality), and raises
 ``InternalInvariantError`` rather than using ``assert``, which ``python -O``
 strips.  A value keeps what it derives in a ``functools.cached_property``,
-never in a hand-written ``__dict__`` memo.
+never in a hand-written ``__dict__`` memo.  Only ``rationals`` decides what an
+exact integer is (an ``int`` but not a ``bool``): no other module tests for
+``int`` with ``isinstance``.
 """
 
 import ast
@@ -46,3 +48,20 @@ def test_no_assert_statement():
 
 def test_no_dict_attribute_access():
     assert [where for where, node in _nodes(ast.Attribute) if node.attr == "__dict__"] == []
+
+
+def test_only_rationals_tests_for_int_with_isinstance():
+    """``rationals.is_exact_int`` and ``exact_rational`` are the one rule.  Exact-type
+    tests such as ``type(v) is int``, the hot paths' fast exits, stay allowed."""
+
+    def names_int(arg):
+        return any(isinstance(e, ast.Name) and e.id == "int" for e in getattr(arg, "elts", [arg]))
+
+    sites = [
+        where
+        for where, node in _nodes(ast.Call)
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2 and names_int(node.args[1])
+        and not where.startswith("rationals.py:")
+    ]
+    assert sites == []
