@@ -25,7 +25,6 @@ from .clusters import (
     cluster_fixture,
     cluster_fixture_names,
     cluster_from_doc,
-    cluster_from_json,
     enumerate_proximity_structures,
     enumerate_tangent_assignments,
     germ_touch_count,
@@ -40,7 +39,6 @@ from .dual_graphs import (
     GraphVertex,
     fixture_names,
     graph_from_doc,
-    graph_from_json,
     intersection_matrix,
     standard_fixture,
     validate_graph_doc,
@@ -89,7 +87,6 @@ from .valuations import (
     cluster_matrix,
     compare,
     curvette_order_rows,
-    curvette_orders,
     curvette_polynomial,
     multiplicities,
     ord_poly,
@@ -136,12 +133,10 @@ __all__ = [
     "cluster_fixture",
     "cluster_fixture_names",
     "cluster_from_doc",
-    "cluster_from_json",
     "cluster_matrix",
     "compare",
     "contradiction_certificate",
     "curvette_order_rows",
-    "curvette_orders",
     "curvette_polynomial",
     "enumerate_proximity_structures",
     "enumerate_tangent_assignments",
@@ -151,7 +146,6 @@ __all__ = [
     "format_tangent",
     "germ_touch_count",
     "graph_from_doc",
-    "graph_from_json",
     "intersection_from_proximity",
     "intersection_matrix",
     "is_negative_definite",

@@ -15,7 +15,6 @@ route to the same intersection lattice through M = -P^t P.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,17 +53,7 @@ class BlowupCluster:
     @classmethod
     def from_specs(cls, specs: Iterable) -> "BlowupCluster":
         """Build from (parent, satellite_of, tangent) tuples; shorter tuples allowed."""
-        pts = []
-        for spec in specs:
-            if isinstance(spec, ClusterPoint):
-                pts.append(spec)
-                continue
-            spec = tuple(spec)
-            parent = spec[0] if spec else None
-            satellite_of = spec[1] if len(spec) > 1 else None
-            tangent = spec[2] if len(spec) > 2 else None
-            pts.append(ClusterPoint(parent, satellite_of, tangent))
-        return cls(tuple(pts))
+        return cls(tuple(ClusterPoint(*tuple(spec)[:3]) for spec in specs))
 
     @property
     def n(self) -> int:
@@ -299,16 +288,6 @@ def cluster_from_doc(doc) -> BlowupCluster:
         for p in doc["points"]
     )
     return BlowupCluster(pts)
-
-
-def cluster_from_json(text: str) -> BlowupCluster:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"cluster document is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    return cluster_from_doc(doc)
 
 
 # -- the combinatorial outputs ------------------------------------------------

@@ -9,7 +9,6 @@ the simple-normal-crossings setting all estimates in this package rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -77,9 +76,6 @@ class DualGraph:
         """Build from (id, self_int[, genus[, labels]]) tuples and id pairs."""
         vs = []
         for spec in vertices:
-            if isinstance(spec, GraphVertex):
-                vs.append(spec)
-                continue
             vid, self_int, *rest = spec
             genus = rest[0] if rest else 0
             labels = frozenset(rest[1]) if len(rest) > 1 else frozenset()
@@ -249,14 +245,6 @@ def graph_from_doc(doc) -> DualGraph:
         for v in doc["vertices"]
     )
     return DualGraph(vs, tuple((a, b) for a, b in doc["edges"]))
-
-
-def graph_from_json(text: str) -> DualGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"graph document is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}") from exc
-    return graph_from_doc(doc)
 
 
 def intersection_matrix(graph: DualGraph) -> ExactMatrix:

@@ -146,12 +146,6 @@ def lifting_verdict(model: WedgeNumericalModel) -> LiftingVerdict:
             f"{format_rational(b_s)} >= 1 (it dominates a_special = {a_s}); "
             f"the model is inconsistent with the transversality assertion"
         )
-    elif a_s >= 1:
-        contradiction = True
-        reason = (
-            f"computed b_special = {format_rational(b_s)} < 1 forces "
-            f"a_special = 0, but the model carries a_special = {a_s}"
-        )
     elif model.assert_no_lift:
         contradiction = True
         reason = (

@@ -62,22 +62,8 @@ class Poly2:
                 out[k] = out.get(k, 0) + c1 * c2
         return Poly2(out)
 
-    def scale(self, c) -> "Poly2":
-        if c == 0:
-            return Poly2()
+    def scale(self, c: Rational) -> "Poly2":
         return Poly2({k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Poly2":
-        if n < 0:
-            raise ValidationError("negative powers are not defined")
-        result = Poly2.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         return isinstance(other, Poly2) and self.terms == other.terms
@@ -241,10 +227,7 @@ def parse_poly(text: str) -> Poly2:
             raise ValidationError(f"polynomial parse error: {exc}") from exc
 
     def parse_rational_token() -> Rational:
-        kind, value = take()
-        if kind != "num":
-            raise ValidationError(f"polynomial parse error: expected a number, got {value!r}")
-        num = number(value)
+        num = number(take()[1])  # the caller has peeked a number
         if peek() == ("op", "/"):
             take()
             kind, value = take()

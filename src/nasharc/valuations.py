@@ -17,7 +17,7 @@ import enum
 from fractions import Fraction
 from itertools import count
 
-from .clusters import BlowupCluster, _check_index, closure_indices, simulate
+from .clusters import BlowupCluster, closure_indices, simulate
 from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
@@ -43,12 +43,6 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
     lattice M: their product must be -I, or InternalInvariantError is raised.
     """
     return cluster.geometry().curvette_rows
-
-
-def curvette_orders(cluster: BlowupCluster, e: int) -> tuple[int, ...]:
-    """Row e of the negated inverse intersection matrix."""
-    _check_index(cluster, e)
-    return curvette_order_rows(cluster)[e]
 
 
 # -- strict transforms along the chart chain ----------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import nasharc.cli as cli
 from nasharc import (
     INF,
     BlowupCluster,
@@ -16,7 +17,6 @@ from nasharc import (
     closure_indices,
     cluster_fixture,
     cluster_from_doc,
-    cluster_from_json,
     enumerate_proximity_structures,
     enumerate_tangent_assignments,
     germ_touch_count,
@@ -296,7 +296,7 @@ def test_tangent_assignments_are_the_accepted_products():
         assert list(enumerate_tangent_assignments(structure, DIGEST_POOL)) == accepted
 
 
-def test_doc_roundtrip_and_diagnostics():
+def test_doc_roundtrip_and_diagnostics(tmp_path, capsys):
     cluster = BlowupCluster.from_specs(
         [(None,), (0, None, Fraction(1, 2)), (0, None, INF), (1, 0)]
     )
@@ -322,9 +322,10 @@ def test_doc_roundtrip_and_diagnostics():
 
     with pytest.raises(ValidationError):
         cluster_from_doc({"schema": "cluster/9", "points": [{}]})
-    with pytest.raises(ValidationError) as err:
-        cluster_from_json("[1,")
-    assert "line 1" in str(err.value)
+    path = tmp_path / "bad.json"
+    path.write_text("[1,", encoding="utf-8")
+    assert cli.run(["cluster", "build", str(path)]) == 2
+    assert f"{path} is not valid JSON (line 1, column 4)" in capsys.readouterr().err
 
 
 def test_fixtures():

@@ -1,11 +1,11 @@
 import pytest
 from helpers import quadratic_form_negative
 
+import nasharc.cli as cli
 from nasharc import (
     DualGraph,
     ValidationError,
     graph_from_doc,
-    graph_from_json,
     intersection_matrix,
     is_negative_definite,
     standard_fixture,
@@ -154,10 +154,11 @@ def test_doc_schema_version_rejected():
         graph_from_doc({"schema": "other", "vertices": [{"id": 0, "self_int": -2}]})
 
 
-def test_json_syntax_error_reports_location():
-    with pytest.raises(ValidationError) as err:
-        graph_from_json("{\n  'bad'")
-    assert "line 2" in str(err.value)
+def test_json_syntax_error_reports_location(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{\n  'bad'", encoding="utf-8")
+    assert cli.run(["graph", "check", str(path)]) == 2
+    assert f"{path} is not valid JSON (line 2, column 3)" in capsys.readouterr().err
 
 
 def test_dot_export_mentions_every_vertex():

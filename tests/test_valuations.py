@@ -15,7 +15,6 @@ from nasharc import (
     cluster_matrix,
     compare,
     curvette_order_rows,
-    curvette_orders,
     curvette_polynomial,
     enumerate_proximity_structures,
     enumerate_tangent_assignments,
@@ -59,12 +58,12 @@ def sample_family():
 
 
 def test_curvette_orders_single_point():
-    assert curvette_orders(cluster_fixture("chain1"), 0) == (1,)
+    assert curvette_order_rows(cluster_fixture("chain1"))[0] == (1,)
 
 
 def test_curvette_orders_chain():
-    assert curvette_orders(CHAIN2, 0) == (1, 1)
-    assert curvette_orders(CHAIN2, 1) == (1, 2)
+    assert curvette_order_rows(CHAIN2)[0] == (1, 1)
+    assert curvette_order_rows(CHAIN2)[1] == (1, 2)
 
 
 def test_curvette_orders_satellite():
