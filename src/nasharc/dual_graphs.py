@@ -20,6 +20,11 @@ from .rationals import is_exact_int
 VertexId = int | str
 
 
+def is_vertex_id(value) -> bool:
+    """An exact integer or a string: the one test for a vertex id (1.0 and True only equal 1)."""
+    return is_exact_int(value) or isinstance(value, str)
+
+
 def _id_key(vid: VertexId):
     return (1, vid) if isinstance(vid, str) else (0, vid)
 
@@ -41,7 +46,7 @@ class GraphVertex:
     labels: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not (is_exact_int(self.id) or isinstance(self.id, str)):
+        if not is_vertex_id(self.id):
             raise ValidationError(f"vertex id must be an int or string, got {self.id!r}")
         if not is_exact_int(self.self_int):
             raise ValidationError(f"self-intersection of {self.id!r} must be an integer")
@@ -64,10 +69,10 @@ class DualGraph:
         known = set(ids)
         normed = []
         for a, b in self.edges:
+            if not (is_vertex_id(a) and is_vertex_id(b) and a in known and b in known):
+                raise ValidationError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise ValidationError(f"loop edge at vertex {a!r} rejected: components are smooth")
-            if a not in known or b not in known:
-                raise ValidationError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             normed.append(_norm_edge(a, b))
         object.__setattr__(self, "edges", tuple(sorted(normed, key=lambda e: (_id_key(e[0]), _id_key(e[1])))))
 
@@ -103,9 +108,10 @@ class DualGraph:
         return tuple(v.id for v in self.vertices)
 
     def index_of(self, vid: VertexId) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.id == vid:
-                return i
+        if is_vertex_id(vid):
+            for i, v in enumerate(self.vertices):
+                if v.id == vid:
+                    return i
         raise ValidationError(f"unknown vertex id {vid!r}")
 
     def adjacency_counts(self) -> dict[VertexId, dict[VertexId, int]]:
@@ -204,7 +210,7 @@ def validate_graph_doc(doc) -> list[str]:
             diags.append(f"{where}: expected an object")
             continue
         vid = v.get("id")
-        if not (is_exact_int(vid) or isinstance(vid, str)):
+        if not is_vertex_id(vid):
             diags.append(f"{where}.id: expected an int or string")
         elif vid in seen:
             diags.append(f"{where}.id: duplicate id {vid!r}")
@@ -229,7 +235,7 @@ def validate_graph_doc(doc) -> list[str]:
             diags.append(f"{where}: expected a pair [id, id]")
             continue
         a, b = e
-        if a not in seen or b not in seen:
+        if not (is_vertex_id(a) and is_vertex_id(b) and a in seen and b in seen):
             diags.append(f"{where}: endpoint {a!r} or {b!r} is not a declared vertex")
         elif a == b:
             diags.append(f"{where}: loop at {a!r} rejected (components are smooth)")

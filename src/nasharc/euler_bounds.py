@@ -13,8 +13,9 @@ disk, which is the contradiction certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .dual_graphs import DualGraph, VertexId, intersection_matrix
+from .dual_graphs import DualGraph, VertexId, intersection_matrix, is_vertex_id
 from .errors import InternalInvariantError, ValidationError
 from .rationals import is_exact_int
 
@@ -39,11 +40,11 @@ class EulerInput:
             )
         if any(not is_exact_int(a) or a < 0 for a in self.coeffs):
             raise ValidationError("limit-divisor coefficients must be non-negative integers")
-        if not (is_exact_int(self.attach) or isinstance(self.attach, str)):  # 1.0 and True equal 1
+        if not is_vertex_id(self.attach):
             raise ValidationError(f"attachment id must be an int or string, got {self.attach!r}")
-        self.graph.index_of(self.attach)
+        self.attach_index  # an unknown attachment is refused here
 
-    @property
+    @cached_property
     def attach_index(self) -> int:
         return self.graph.index_of(self.attach)
 

@@ -63,6 +63,7 @@ class Poly2:
         return Poly2(out)
 
     def scale(self, c: Rational) -> "Poly2":
+        c = c if type(c) is int else exact_rational(c, "polynomial scalars")
         return Poly2({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -89,6 +90,7 @@ class Poly2:
 
     def subst_free(self, c: Rational) -> "Poly2":
         """Total transform in the chart (x, y) -> (x, x*(y + c))."""
+        c = c if type(c) is int else exact_rational(c, "chart tangents")
         if c == 0:
             return Poly2({(a + b, b): coef for (a, b), coef in self.terms.items()})
         out: dict[Monomial, Rational] = {}
@@ -105,6 +107,7 @@ class Poly2:
     def blow_down_free(self, c: Rational) -> "Poly2":
         """Image under the chart (x, y) -> (x, x*(y + c)): x^d h(x, y/x - c), d = deg_y h,
         rid of its largest power of x (the exceptional divisor)."""
+        c = c if type(c) is int else exact_rational(c, "chart tangents")
         d = max(b for _, b in self.terms)
         out: dict[Monomial, Rational] = {}
         for (a, b), coef in self.terms.items():

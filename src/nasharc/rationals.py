@@ -43,9 +43,9 @@ def is_exact_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or an integer literal into an exact Fraction."""
-    if is_exact_int(text):
+def parse_rational(text: str | Rational) -> Fraction:
+    """Parse ``"p/q"`` or an integer literal, or take an exact scalar, into a Fraction."""
+    if is_exact_int(text) or isinstance(text, Fraction):
         return Fraction(text)
     if isinstance(text, str):
         try:

@@ -103,6 +103,12 @@ def test_graph_documents_are_capped_at_100_vertices(tmp_path, capsys):
 def test_graph_check_unknown_input(capsys):
     code, _, err = run_cli(capsys, "graph", "check", "no-such-thing")
     assert code == 2 and "fixtures" in err
+    code, out, err = run_cli(capsys, "cluster", "build", "chain25")  # past MAX_POINTS
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 'chain25' is neither a readable file nor one of the cluster fixtures chain1, chain2, "
+        "chain3, chain4, chain5, twodir, satellite3 (chainN for any small N)\n"
+    )
 
 
 def test_graph_check_dot_export(tmp_path, capsys):
@@ -540,3 +546,80 @@ def test_graph_check_runs_one_elimination(capsys, monkeypatch):
     assert code == 0, err
     assert "negative definite: yes" in out and "det(M) = 1" in out
     assert calls == [8]
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+_VERTICES = [{"id": 1, "self_int": -2}, {"id": 2, "self_int": -2}]
+
+
+@pytest.mark.parametrize("endpoint", [True, 1.0, [1]])
+@pytest.mark.parametrize("command", [("graph", "check"), ("euler", "bound")])
+def test_edge_endpoints_follow_the_vertex_id_rule(command, endpoint, tmp_path, capsys):
+    path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": _VERTICES, "edges": [[endpoint, 2]]})
+    extra = ("--coeffs", "1,1", "--attach", "1") if command[0] == "euler" else ()
+    code, out, err = run_cli(capsys, *command, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: invalid graph document: "
+                   f"edges[0]: endpoint {endpoint!r} or 2 is not a declared vertex\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "document: expected a JSON object"),
+        ({"schema": "dualgraph/1", "vertices": []}, "vertices: expected a non-empty list"),
+        ({"schema": "dualgraph/1", "vertices": [5]}, "vertices[0]: expected an object"),
+        ({"schema": "dualgraph/1", "vertices": [{"id": 1.5, "self_int": -2}]},
+         "vertices[0].id: expected an int or string"),
+        ({"schema": "dualgraph/1", "vertices": [{"id": 1, "self_int": -2, "labels": "E"}]},
+         "vertices[0].labels: expected a list of strings"),
+        ({"schema": "dualgraph/1", "vertices": _VERTICES, "edges": {}}, "edges: expected a list of id pairs"),
+    ],
+)
+def test_graph_document_refusals(doc, message, tmp_path, capsys):
+    path = _write(tmp_path, doc)
+    code, out, err = run_cli(capsys, "graph", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: invalid graph document: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], "document: expected a JSON object"),
+        ({"schema": "cluster/1", "points": []}, "points: expected a non-empty list"),
+        ({"schema": "cluster/1", "points": [3]}, "points[0]: expected an object"),
+    ],
+)
+def test_cluster_document_refusals(doc, message, tmp_path, capsys):
+    path = _write(tmp_path, doc)
+    code, out, err = run_cli(capsys, "cluster", "build", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: invalid cluster document: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"cluster": 5}, "{path}: cluster: expected an inline document or a reference string"),
+        ({"d": [1.5, 0]}, "pulled-back intersection numbers d must be integers"),
+        ({"coeffs": [1]}, "coefficient vector must have length 2"),
+    ],
+)
+def test_wedge_model_refusals(change, message, tmp_path, capsys):
+    good = {"schema": "wedgemodel/1", "cluster": "chain2", "special": 0, "c": [0, 0], "d": [0, 0]}
+    path = _write(tmp_path, {**good, **change})
+    code, out, err = run_cli(capsys, "dfd", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(path=path)}\n"
+
+
+def test_germ_text_refusal(capsys):
+    code, out, err = run_cli(capsys, "val", "ord", "chain2", "0", "--poly", "x y")
+    assert code == 2 and out == ""
+    assert err == "error: polynomial parse error: expected + or -, got 'y'\n"

@@ -328,6 +328,24 @@ def test_doc_roundtrip_and_diagnostics(tmp_path, capsys):
     assert f"{path} is not valid JSON (line 1, column 4)" in capsys.readouterr().err
 
 
+def test_documents_built_in_code_take_exact_tangents():
+    doc = {"schema": "cluster/1", "points": [{}, {"parent": 0, "tangent": Fraction(1, 2)}]}
+    assert cluster_from_doc(doc) == BlowupCluster.from_specs([(), (0, None, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        ([(None,), ("0",)], "points[1].parent: expected an index below 1"),
+        ([(None,), (0,), (1, "0")], "points[2].satellite_of: index must be below 2"),
+    ],
+)
+def test_specs_built_in_code_are_refused(specs, message):
+    with pytest.raises(ValidationError) as err:
+        BlowupCluster.from_specs(specs)
+    assert str(err.value) == message
+
+
 def test_fixtures():
     assert cluster_fixture("chain4").n == 4
     assert cluster_fixture("twodir").points == TWO_DIRECTIONS.points

@@ -52,6 +52,15 @@ def test_invariants_rejected():
         DualGraph.build([(0, -2, -1)])  # negative genus
 
 
+@pytest.mark.parametrize("endpoint", [True, 1.0, [1]])
+def test_edge_endpoints_and_lookups_follow_the_vertex_id_rule(endpoint):
+    """True and 1.0 only compare equal to the id 1; a list is no id at all."""
+    with pytest.raises(ValidationError, match="references an unknown vertex$"):
+        DualGraph.build([(1, -2), (2, -2)], [(endpoint, 2)])
+    with pytest.raises(ValidationError, match="^unknown vertex id "):
+        standard_fixture("A2").index_of(endpoint)
+
+
 def test_relabel_is_a_bijection_requirement():
     graph = standard_fixture("A2")
     with pytest.raises(ValidationError):

@@ -123,6 +123,17 @@ def test_validation():
             EulerInput(graph, (1, 1), attach)
 
 
+def test_attachment_is_looked_up_once(monkeypatch):
+    looked_up = []
+    index_of = DualGraph.index_of
+    monkeypatch.setattr(DualGraph, "index_of", lambda graph, vid: looked_up.append(vid) or index_of(graph, vid))
+    data = EulerInput(standard_fixture("A2"), (1, 1), 0)
+    contradiction_certificate(data)
+    for bound in (b0_bound, balls_bound, tubes_bound, final_bound):
+        bound(data)
+    assert looked_up == [0]
+
+
 def test_certificate_doc():
     doc = contradiction_certificate(A1).to_doc()
     assert doc == {"bound": 0, "contradicts_disk": True, "minimality_flags": []}

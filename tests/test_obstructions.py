@@ -111,6 +111,16 @@ def test_refined_obstruction_examples():
     assert (third.witness.ord_sub, third.witness.ord_ret_1, third.witness.ord_ret_2) == (1, 1, 1)
 
 
+def test_refined_obstruction_doc_carries_the_order_witness():
+    verdict = refined_valuative_obstruction(CHAIN2, 1, 0, 0, parse_poly("x"))
+    assert verdict.to_doc() == {
+        "status": "RULED_OUT",
+        "adjacency": "N_1 in N_0 with a return lifting by 0",
+        "witness": {"kind": "orders", "polynomial": "x", "ord_sub": 1, "ord_return_1": 1, "ord_return_2": 1},
+        "detail": "ord_1(g) = 1 < 1 + 1 = ord_0(g) + ord_0(g)",
+    }
+
+
 def test_refined_obstruction_walks_the_charts_once(monkeypatch):
     import nasharc.valuations as valuations
 

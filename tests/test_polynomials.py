@@ -176,6 +176,24 @@ def test_floats_are_refused_by_every_constructor():
         parse_poly("x").subst_free(0.5)
 
 
+@pytest.mark.parametrize("scalar", [True, False, 0.0, 1.0])
+def test_scalars_and_tangents_follow_the_exact_value_rule(scalar):
+    g = parse_poly("x + y")
+    with pytest.raises(ValidationError, match="^polynomial scalars must be exact rationals"):
+        g.scale(scalar)
+    for chart in (g.subst_free, g.blow_down_free):
+        with pytest.raises(ValidationError, match="^chart tangents must be exact rationals"):
+            chart(scalar)
+
+
+def test_exact_scalars_and_tangents_are_taken_in_canonical_form():
+    g = parse_poly("x + y")
+    assert _coefficient_types(g.scale(Fraction(4, 2))) == {int}
+    assert g.scale(0).is_zero()
+    assert g.subst_free(Fraction(2, 2)) == g.subst_free(1)
+    assert g.blow_down_free(Fraction(2, 2)) == g.blow_down_free(1)
+
+
 def test_int_subclass_coefficients_become_plain_ints():
     class Tally(int):
         pass

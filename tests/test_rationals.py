@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nasharc import ValidationError, parse_rational
+from nasharc import ValidationError, parse_rational, parse_tangent
 from nasharc.rationals import exact_rational, is_exact_int
 
 
@@ -29,3 +29,10 @@ def test_parse_rational_refuses_bools_and_floats():
     for bad in (True, 1.0):
         with pytest.raises(ValidationError, match=r"^expected a rational number, got "):
             parse_rational(bad)
+
+
+def test_parse_rational_takes_what_exact_rational_takes():
+    for value in (Fraction(1, 2), Fraction(4, 2), Count(3), -7):
+        assert parse_rational(value) == exact_rational(value, "rationals")
+        assert parse_tangent(value) == value
+    assert type(parse_rational(Fraction(4, 2))) is Fraction

@@ -6,14 +6,18 @@ float (every answer rests on exact signs and integrality), and raises
 strips.  A value keeps what it derives in a ``functools.cached_property``,
 never in a hand-written ``__dict__`` memo.  Only ``rationals`` decides what an
 exact integer is (an ``int`` but not a ``bool``): no other module tests for
-``int`` with ``isinstance``.
+``int`` with ``isinstance``.  Every public name has a user outside the tests.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nasharc").glob("*.py"))
+import nasharc
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nasharc").glob("*.py"))
 
 
 def _nodes(kind):
@@ -65,3 +69,25 @@ def test_only_rationals_tests_for_int_with_isinstance():
         and not where.startswith("rationals.py:")
     ]
     assert sites == []
+
+
+def _names_read(path):
+    """The identifiers a file reads: loaded names, attributes and imports (words, in prose)."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".py":
+        return set(re.findall(r"\w+", text))
+    names = set()
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            names.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Each name in ``nasharc.__all__`` is read by the library, a demo, the README or
+    the benchmark; a name only tests read is test code and lives under ``tests/``."""
+    users = [*SOURCES, *(ROOT / "demos").glob("*.py"), ROOT / "README.md", *(ROOT / "perfbench").rglob("*.py")]
+    read = set().union(*(_names_read(path) for path in users if path.name != "__init__.py"))
+    assert sorted(set(nasharc.__all__) - read) == []
