@@ -20,6 +20,7 @@ Exit codes: 0 analysis completed (the verdict lives inside the report),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,7 +47,7 @@ from .dual_graphs import (
 )
 from .errors import InternalInvariantError, NashArcError, SingularMatrixError, ValidationError
 from .euler_bounds import EulerInput, b0_bound, balls_bound, contradiction_certificate, tubes_bound
-from .exact_linalg import ExactMatrix, _inverse_sign_report, is_negative_definite
+from .exact_linalg import ExactMatrix, check_inverse_nonpositive, is_negative_definite
 from .lifting import WedgeNumericalModel, lifting_verdict, solve_b, verify_numerical
 from .obstructions import (
     KnowledgeBase,
@@ -80,6 +81,15 @@ def _read_json(path: str) -> dict:
         ) from exc
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix ``path: `` to a ValidationError raised while reading the file's document."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _strip_fixture_prefix(name: str) -> str:
     for prefix in ("fixtures/", "fixture:"):
         if name.startswith(prefix):
@@ -91,10 +101,8 @@ def load_graph_input(source: str) -> DualGraph:
     """A path to a graph document, or the name of a built-in fixture."""
     if os.path.exists(source):
         doc = _read_json(source)
-        try:
+        with _naming(source):
             return graph_from_doc(doc)
-        except ValidationError as exc:
-            raise ValidationError(f"{source}: {exc}") from None
     name = _strip_fixture_prefix(source)
     if name.upper() in fixture_names():
         return standard_fixture(name)
@@ -108,10 +116,8 @@ def load_cluster_input(source: str) -> BlowupCluster:
     """A path to a cluster document, or the name of a built-in cluster fixture."""
     if os.path.exists(source):
         doc = _read_json(source)
-        try:
+        with _naming(source):
             return cluster_from_doc(doc)
-        except ValidationError as exc:
-            raise ValidationError(f"{source}: {exc}") from None
     name = _strip_fixture_prefix(source)
     try:
         return cluster_fixture(name)
@@ -196,7 +202,7 @@ def _cmd_graph_check(args) -> int:
     ]
     if det != 0:
         inverse = M.inverse()
-        sign = _inverse_sign_report(inverse)
+        sign = check_inverse_nonpositive(M)
         lines += _matrix_lines("inverse M^-1", inverse)
         if sign.strictly_negative:
             lines.append("inverse sign: all entries strictly negative")
@@ -364,7 +370,8 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
     if isinstance(cluster_field, str):
         cluster = load_cluster_input(cluster_field)
     elif isinstance(cluster_field, dict):
-        cluster = cluster_from_doc(cluster_field)
+        with _naming(path):
+            cluster = cluster_from_doc(cluster_field)
     else:
         raise ValidationError(f"{path}: cluster: expected an inline document or a reference string")
     for field in ("special", "c", "d"):
@@ -382,15 +389,16 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
         flags[field] = value or getattr(args, field)
     b = doc.get("b")
     coeffs = doc.get("coeffs")
-    return WedgeNumericalModel(
-        cluster=cluster,
-        special=doc["special"],
-        c=tuple(doc["c"]),
-        d=tuple(doc["d"]),
-        coeffs=None if coeffs is None else tuple(coeffs),
-        b=None if b is None else tuple(parse_rational(v) for v in b),
-        **flags,
-    )
+    with _naming(path):  # a referenced cluster file has named itself above
+        return WedgeNumericalModel(
+            cluster=cluster,
+            special=doc["special"],
+            c=tuple(doc["c"]),
+            d=tuple(doc["d"]),
+            coeffs=None if coeffs is None else tuple(coeffs),
+            b=None if b is None else tuple(parse_rational(v) for v in b),
+            **flags,
+        )
 
 
 def _cmd_dfd_check(args) -> int:

@@ -4,13 +4,13 @@ A cluster is an ordered list of blow-up centers: the origin first, then
 points each lying on one exceptional component of the model built so far
 (free points) or on the intersection of two of them (satellite points).
 Free points may carry an exact rational tangent parameter, or the marker
-``INF``, selecting their direction on the parent component; the parameter
-is only consulted by the polynomial computations, never by the purely
-combinatorial ones.
+``INF``, selecting their direction on the parent component; only the
+polynomial computations consult it.
 
-The dual graph of the composite blow-up is obtained by direct simulation,
-one center at a time; the classical proximity matrix gives an independent
-route to the same intersection lattice through M = -P^t P.
+A ``BlowupCluster`` is its replay: it simulates its blow-ups one center at
+a time and keeps the results (``prox``, ``kinds``, ``self_ints``, ``edges``),
+the dual graph among them; the classical proximity matrix gives an
+independent route to the same intersection lattice through M = -P^t P.
 """
 
 from __future__ import annotations
@@ -41,48 +41,6 @@ class ClusterPoint:
     tangent: Tangent | None = None
 
 
-@dataclass(frozen=True)
-class BlowupCluster:
-    points: tuple[ClusterPoint, ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValidationError("a cluster needs at least one point, the origin")
-        object.__setattr__(self, "_geometry", _Geometry(self.points))
-
-    @classmethod
-    def from_specs(cls, specs: Iterable) -> "BlowupCluster":
-        """Build from (parent, satellite_of, tangent) tuples; shorter tuples allowed."""
-        return cls(tuple(ClusterPoint(*tuple(spec)[:3]) for spec in specs))
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def geometry(self) -> "_Geometry":
-        return self._geometry
-
-    def proximities(self, i: int) -> tuple[int, ...]:
-        """Indices of the earlier centers whose components pass through point i."""
-        return self._geometry.prox[i]
-
-    def is_free(self, i: int) -> bool:
-        return self.points[i].satellite_of is None and i > 0
-
-    def to_doc(self) -> dict:
-        return {
-            "schema": CLUSTER_SCHEMA,
-            "points": [
-                {
-                    "parent": p.parent,
-                    "satellite_of": p.satellite_of,
-                    "tangent": format_tangent(p.tangent),
-                }
-                for p in self.points
-            ],
-        }
-
-
 # directions on a component taken by the components crossing it, by chart kind
 _CROSSING_SLOPES = {
     "root": (),
@@ -105,8 +63,9 @@ def _forbidden_slopes(kinds, points, component: int) -> set:
     return taken
 
 
-class _Geometry:
-    """One validating replay of the blow-up sequence, kept as its results.
+@dataclass(frozen=True)
+class BlowupCluster:
+    """The centers, checked by one replay of their blow-ups, and what that replay finds.
 
     Per center: the earlier centers whose components pass through it
     (``prox``), the chart kind used to reach it (``kinds``) and the final
@@ -119,39 +78,36 @@ class _Geometry:
     proximities unfold P^-1 (``unfold``) into the ``curvette_rows``.
     """
 
-    def __init__(self, points: tuple[ClusterPoint, ...]):
-        self.points = points
+    points: tuple[ClusterPoint, ...]
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValidationError("a cluster needs at least one point, the origin")
         prox: list[tuple[int, ...]] = []
         kinds: list[str] = []
         self_ints: list[int] = []
         axes: list[dict[int, str]] = []
         alive: set[tuple[int, int]] = set()
-        for i, point in enumerate(points):
+        for i, point in enumerate(self.points):
+            parent = point.parent
             if i >= MAX_POINTS:
                 raise ValidationError(f"clusters are capped at {MAX_POINTS} points")
             if i == 0:
-                if point.parent is not None or point.satellite_of is not None:
+                if parent is not None or point.satellite_of is not None:
                     raise ValidationError("point 0 is the origin and has no parent")
                 if point.tangent is not None:
                     raise ValidationError("point 0 carries no tangent parameter")
-                prox.append(())
-                kinds.append("root")
-                axes.append({})
-                self_ints.append(-1)
-                continue
-
-            parent = point.parent
-            if not is_exact_int(parent):
+                here, kind, chart = (), "root", {}
+            elif not is_exact_int(parent):
                 raise ValidationError(f"points[{i}].parent: expected an index below {i}")
-            if not 0 <= parent < i:
+            elif not 0 <= parent < i:
                 raise ValidationError(f"points[{i}].parent: index {parent} must be below {i}")
-
-            if point.satellite_of is None:
+            elif point.satellite_of is None:
                 tangent = point.tangent
                 if tangent is not None:
                     if not (tangent is INF or isinstance(tangent, Fraction) or is_exact_int(tangent)):
                         raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
-                    if tangent in _forbidden_slopes(kinds, points[:i], parent):
+                    if tangent in _forbidden_slopes(kinds, self.points[:i], parent):
                         raise ValidationError(
                             f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
                             f"{parent} is already occupied by another component or sibling"
@@ -187,10 +143,28 @@ class _Geometry:
             kinds.append(kind)
             axes.append(chart)
             self_ints.append(-1)
-        self.prox = tuple(prox)
-        self.kinds = tuple(kinds)
-        self.self_ints = tuple(self_ints)
-        self.edges = tuple(sorted(alive))
+        results = {"prox": prox, "kinds": kinds, "self_ints": self_ints, "edges": sorted(alive)}
+        for name, value in results.items():  # a frozen dataclass takes no plain assignment
+            object.__setattr__(self, name, tuple(value))
+
+    @classmethod
+    def from_specs(cls, specs: Iterable) -> "BlowupCluster":
+        """Build from (parent, satellite_of, tangent) tuples; shorter tuples allowed."""
+        return cls(tuple(ClusterPoint(*tuple(spec)[:3]) for spec in specs))
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    def geometry(self) -> "BlowupCluster":  # read by perfbench/workloads.py::curvette_supported
+        return self
+
+    def proximities(self, i: int) -> tuple[int, ...]:
+        """Indices of the earlier centers whose components pass through point i."""
+        return self.prox[i]
+
+    def is_free(self, i: int) -> bool:
+        return self.points[i].satellite_of is None and i > 0
 
     def forbidden_slopes(self, component: int) -> set:
         """Directions on a component unavailable to a new free point."""
@@ -213,7 +187,7 @@ class _Geometry:
         row f of Q, and QQ^t is symmetric.  Row i of M QQ^t is self_ints[i]
         times row i plus the rows of the components meeting component i.
         """
-        n = len(self.prox)
+        n = self.n
         q_cols = [self.unfold([int(i == k) for i in range(n)]) for k in range(n)]
         rows = tuple(tuple(self.unfold(q_row)) for q_row in zip(*q_cols))
         product = [[w * v for v in row] for w, row in zip(self.self_ints, rows)]
@@ -238,6 +212,19 @@ class _Geometry:
             (max(here), canonical_rational({"sat_y": 0, "sat_x": INF}.get(kind, point.tangent)))
             for here, kind, point in steps
         )
+
+    def to_doc(self) -> dict:
+        return {
+            "schema": CLUSTER_SCHEMA,
+            "points": [
+                {
+                    "parent": p.parent,
+                    "satellite_of": p.satellite_of,
+                    "tangent": format_tangent(p.tangent),
+                }
+                for p in self.points
+            ],
+        }
 
 
 CLUSTER_SCHEMA = "cluster/1"
@@ -300,9 +287,8 @@ def simulate(cluster: BlowupCluster) -> DualGraph:
     the center, drops those components' weights by one, and separates the
     two components meeting at a satellite center.
     """
-    geom = cluster.geometry()
-    vertices = tuple(GraphVertex(i, w, 0) for i, w in enumerate(geom.self_ints))
-    return DualGraph(vertices, geom.edges)
+    vertices = tuple(GraphVertex(i, w, 0) for i, w in enumerate(cluster.self_ints))
+    return DualGraph(vertices, cluster.edges)
 
 
 def proximity_matrix(cluster: BlowupCluster) -> ExactMatrix:
@@ -336,7 +322,7 @@ def canonical_coeffs(cluster: BlowupCluster) -> tuple[int, ...]:
     proximate to reproduces how the canonical class gains one plus the
     ambient coefficients under each point blow-up.
     """
-    return tuple(cluster.geometry().unfold([1] * cluster.n))
+    return tuple(cluster.unfold([1] * cluster.n))
 
 
 def germ_touch_count(cluster: BlowupCluster, last: int) -> int:
@@ -445,7 +431,7 @@ def enumerate_proximity_structures(max_points: int) -> Iterator[BlowupCluster]:
         if cluster.n == max_points:
             return
         free = [ClusterPoint(parent) for parent in range(cluster.n)]
-        satellites = [ClusterPoint(hi, lo) for lo, hi in cluster.geometry().edges]
+        satellites = [ClusterPoint(hi, lo) for lo, hi in cluster.edges]
         for point in free + satellites:
             yield from rec(BlowupCluster(cluster.points + (point,)))
 
@@ -469,7 +455,7 @@ def enumerate_tangent_assignments(
             return
         point = structure.points[i]
         if structure.is_free(i):
-            taken = prefix.geometry().forbidden_slopes(point.parent)
+            taken = prefix.forbidden_slopes(point.parent)
             choices = [ClusterPoint(point.parent, None, t) for t in pool if t not in taken]
         else:
             choices = [point]

@@ -247,18 +247,16 @@ class InverseSignReport:
 
 
 def check_inverse_nonpositive(matrix: ExactMatrix) -> InverseSignReport:
-    """Invert exactly and report the sign pattern of the inverse."""
-    return _inverse_sign_report(matrix.inverse())
-
-
-def _inverse_sign_report(inv: ExactMatrix) -> InverseSignReport:
-    """The sign pattern of an inverse that is already at hand."""
+    """Report the sign pattern of M^-1 = (d M^-1) / d, read off the kept sweep."""
+    _, _, det, block = matrix._sweep
+    if det == 0:
+        raise SingularMatrixError("matrix is singular, no exact inverse or solution")
     offending = []
     zeros = []
-    for i, row in enumerate(inv.rows):
+    for i, row in enumerate(block):
         for j, v in enumerate(row):
-            if v > 0:
-                offending.append((i, j, v))
+            if v * det > 0:
+                offending.append((i, j, _quotient(v, det)))
             elif v == 0:
                 zeros.append((i, j))
     return InverseSignReport(

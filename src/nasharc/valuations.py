@@ -3,12 +3,12 @@
 Two routes to orders of vanishing live here.  The lattice route reads them
 off the curvette rows QQ^t = -M^-1, Q = P^-1 (row e: orders along component e
 of smooth germs transverse to each component).  The polynomial route pushes a
-germ down the cluster's chart plan (``cluster.geometry().plan``) and unfolds
-the multiplicities m of its strict transforms.  Both read the same m (orders
-P^-1 m, profile P^t m), so rows . profile = orders for any m: their agreement,
-an acceptance gate, checks the replay's proximity bookkeeping and the
-proximity inequality.  The chart arithmetic is checked by the self-check of
-``curvette_polynomial`` and by the tests' Sylvester and sympy oracles.
+germ down the cluster's chart plan (``cluster.plan``) and unfolds the
+multiplicities m of its strict transforms (``cluster.unfold``).  Both read the
+same m (orders P^-1 m, profile P^t m), so rows . profile = orders for any m:
+their agreement, an acceptance gate, checks the replay's proximity bookkeeping
+and the proximity inequality.  The self-check of ``curvette_polynomial`` and
+the tests' Sylvester and sympy oracles check the chart arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
     kept on the cluster's replay and checked once against the simulated
     lattice M: their product must be -I, or InternalInvariantError is raised.
     """
-    return cluster.geometry().curvette_rows
+    return cluster.curvette_rows
 
 
 # -- strict transforms along the chart chain ----------------------------------
@@ -56,10 +56,9 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """
     if g.is_zero():
         raise ValidationError("the zero polynomial has no orders of vanishing")
-    plan = cluster.geometry().plan
     strict, mult = [g] * cluster.n, [g.multiplicity()] + [0] * (cluster.n - 1)
     for i in points[1:]:
-        parent, tangent = plan[i]
+        parent, tangent = cluster.plan[i]
         if tangent is None:
             raise ValidationError(
                 f"point {i} is free without a tangent parameter; "
@@ -78,7 +77,7 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
 def _orders(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """Orders of g along ``points``: ord_i = m_i + the orders at the centers i is proximate to.
     The unfold covers every center; callers read only ``points``, which is closed under proximity."""
-    return cluster.geometry().unfold(_multiplicities(cluster, g, points))
+    return cluster.unfold(_multiplicities(cluster, g, points))
 
 
 def multiplicities(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...]:
@@ -176,17 +175,16 @@ def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     at t = -1.
     """
     keep = closure_indices(cluster, i)
-    plan = cluster.geometry().plan
     rows = curvette_order_rows(cluster)
     expect = tuple(rows[k][i] for k in keep)
 
-    taken = cluster.geometry().forbidden_slopes(i)
+    taken = cluster.forbidden_slopes(i)
     slope = next(c for c in count(1) if c not in taken)
     g = Poly2({(0, 1): 1, (1, 0): -slope})
     dx, dy, lx, ly = 1, 1, 1, slope  # degrees and leading coefficients of x(t), y(t)
     j = i
     while j != 0:  # chart maps are applied from the deepest point outward
-        parent, tangent = plan[j]
+        parent, tangent = cluster.plan[j]
         if tangent is None:
             raise ValidationError(
                 f"point {j} is free without a tangent parameter; "

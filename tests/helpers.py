@@ -252,11 +252,10 @@ def pushed_parametrization(cluster, i: int) -> tuple[Poly2, Poly2]:
     """(x(t), y(t)) of the line y = s*x at center i, with s the first positive
     integer slope free on component i, pushed down the chart chain by the chart
     maps; t rides in the x slot.  Every free point needs a tangent."""
-    geom = cluster.geometry()
-    slope = next(s for s in count(1) if s not in geom.forbidden_slopes(i))
+    slope = next(s for s in count(1) if s not in cluster.forbidden_slopes(i))
     x_t, y_t = Poly2.monomial(1, 0), Poly2.monomial(1, 0, slope)
     while i != 0:
-        kind = geom.kinds[i]
+        kind = cluster.kinds[i]
         if kind == "free":
             y_t = x_t * (y_t + Poly2.constant(cluster.points[i].tangent))
         elif kind == "sat_y":

@@ -489,13 +489,13 @@ def test_wrong_lattice_fails_the_curvette_row_check(capsys, monkeypatch):
     import nasharc.clusters as clusters
     from nasharc import InternalInvariantError, curvette_order_rows
 
-    replay = clusters._Geometry.__init__
+    replay = clusters.BlowupCluster.__post_init__
 
-    def off_by_one(self, points):
-        replay(self, points)
-        self.self_ints = (self.self_ints[0] - 1,) + self.self_ints[1:]
+    def off_by_one(self):
+        replay(self)
+        object.__setattr__(self, "self_ints", (self.self_ints[0] - 1,) + self.self_ints[1:])
 
-    monkeypatch.setattr(clusters._Geometry, "__init__", off_by_one)
+    monkeypatch.setattr(clusters.BlowupCluster, "__post_init__", off_by_one)
     with pytest.raises(InternalInvariantError):
         curvette_order_rows(cluster_fixture("chain5"))
     code, out, err = run_cli(capsys, "val", "compare", "chain20", "3", "17")
@@ -607,8 +607,13 @@ def test_cluster_document_refusals(doc, message, tmp_path, capsys):
     "change, message",
     [
         ({"cluster": 5}, "{path}: cluster: expected an inline document or a reference string"),
-        ({"d": [1.5, 0]}, "pulled-back intersection numbers d must be integers"),
-        ({"coeffs": [1]}, "coefficient vector must have length 2"),
+        ({"d": [1.5, 0]}, "{path}: pulled-back intersection numbers d must be integers"),
+        ({"coeffs": [1]}, "{path}: coefficient vector must have length 2"),
+        ({"b": [1.5, 0]}, "{path}: expected a rational number, got 1.5"),
+        (
+            {"cluster": {"schema": "cluster/1", "points": []}},
+            "{path}: invalid cluster document: points: expected a non-empty list",
+        ),
     ],
 )
 def test_wedge_model_refusals(change, message, tmp_path, capsys):

@@ -53,7 +53,6 @@ def clusters(draw, pool=None):
     size = draw(st.integers(1, MAX_POINTS))
     cluster = BlowupCluster((ClusterPoint(),))
     while cluster.n < size:
-        geom = cluster.geometry()
         if pool is None:
             free = [ClusterPoint(parent) for parent in range(cluster.n)]
         else:
@@ -61,9 +60,9 @@ def clusters(draw, pool=None):
                 ClusterPoint(parent, None, t)
                 for parent in range(cluster.n)
                 for t in pool
-                if t not in geom.forbidden_slopes(parent)
+                if t not in cluster.forbidden_slopes(parent)
             ]
-        satellites = [ClusterPoint(hi, lo) for lo, hi in geom.edges]
+        satellites = [ClusterPoint(hi, lo) for lo, hi in cluster.edges]
         point = draw(st.sampled_from(free + satellites))
         cluster = BlowupCluster(cluster.points + (point,))
     return cluster

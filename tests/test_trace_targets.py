@@ -4,11 +4,17 @@
 package; a renamed or moved function makes ``perfbench/run.py --trace 1``
 fail, so this check resolves each entry the same way `Tracer.install` does.
 A kernel inlined around a traced name would instead read 0 calls there, so
-the lattice layers' calls are counted too.
+the lattice layers' calls are counted too.  The workloads also read nasharc
+outside `TARGETS` (``cluster.geometry().kinds``, say), so each one runs
+briefly against the source tree and must finish correct, with no failure.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from helpers import count_eliminations
@@ -16,7 +22,8 @@ from helpers import count_eliminations
 # importing the package loads every nasharc module, as the benchmark does
 from nasharc import ExactMatrix, cluster_fixture, intersection_from_proximity, proximity_matrix
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -60,3 +67,26 @@ def test_traced_layers_keep_their_calls(monkeypatch):
     matrix.determinant()
     matrix.inverse()
     assert eliminations == [3]
+
+
+def test_every_workload_runs_correct():
+    # one short untraced run per workload, in fresh interpreters side by side
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--seed", "1", "--seconds", "0.3"]
+    runs = {
+        name: subprocess.Popen(
+            command + ["--workload", name], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        for name in names
+    }
+    try:
+        for name, run in runs.items():
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, (name, err.decode())
+            result = json.loads(out.decode().splitlines()[-1])
+            assert result["correct"] is True and result["failed"] == 0, (name, err.decode())
+    finally:
+        for run in runs.values():
+            run.kill()
+            run.wait()

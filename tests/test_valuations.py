@@ -85,14 +85,14 @@ def test_curvette_rows_match_adjugate_oracle():
 def test_plans_and_curvette_rows_are_built_on_first_use():
     # lattice_sweep keeps every enumerated cluster: an eager memo would grow its peak RSS
     swept = list(enumerate_proximity_structures(5))
-    assert not any({"plan", "curvette_rows"} & c.geometry().__dict__.keys() for c in swept)
+    assert not any({"plan", "curvette_rows"} & vars(c).keys() for c in swept)
     cluster = cluster_fixture("satellite3")
     assert ord_vector(cluster, parse_poly("y^2 - x^3")) == (2, 3, 6)
-    plan = cluster.geometry().plan
+    plan = cluster.plan
     assert plan == ((0, None), (0, 0), (1, INF))
-    assert cluster.geometry().__dict__["plan"] is plan
+    assert vars(cluster)["plan"] is plan
     curvette_polynomial(cluster, 2)
-    assert cluster.geometry().plan is plan and "curvette_rows" in cluster.geometry().__dict__
+    assert cluster.plan is plan and "curvette_rows" in vars(cluster)
 
 
 def test_ord_poly_examples():
@@ -302,7 +302,7 @@ def test_integral_tangents_stay_in_integer_arithmetic(monkeypatch):
 def _curvette_supported(cluster, i):
     """False when a free point lies beyond a tangent-inf or satellite chart
     on the chart chain of i; curvette_polynomial does not handle those yet."""
-    kinds = cluster.geometry().kinds
+    kinds = cluster.kinds
     deeper_free = False
     while i != 0:
         if kinds[i] == "free":
@@ -324,17 +324,16 @@ def test_curvette_polynomial_matches_sympy_resultant():
     checked = 0
     for structure in enumerate_proximity_structures(3):
         for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
-            geom = cluster.geometry()
             for i in range(cluster.n):
                 if not _curvette_supported(cluster, i):
                     continue
                 g = curvette_polynomial(cluster, i)
                 # the first slope the construction tries, pushed down the charts
-                slope = next(s for s in count(1) if s not in geom.forbidden_slopes(i))
+                slope = next(s for s in count(1) if s not in cluster.forbidden_slopes(i))
                 X, Y = t, slope * t
                 j = i
                 while j != 0:
-                    kind = geom.kinds[j]
+                    kind = cluster.kinds[j]
                     if kind == "free":
                         X, Y = X, X * (Y + rational(cluster.points[j].tangent))
                     elif kind == "sat_y":
