@@ -90,11 +90,7 @@ def _encode(order: list[int], graph: DualGraph, nbrs: list[dict[int, int]]):
 
 def _canonical_form(graph: DualGraph):
     n = graph.n
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
-    nbrs: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> {neighbour: multiplicity}
-    for a, b in graph.edges:
-        i, j = index[a], index[b]
-        nbrs[i][j] = nbrs[j][i] = nbrs[i].get(j, 0) + 1
+    nbrs = graph.neighbours()
 
     def twins(u: int, v: int) -> bool:
         """Whether u and v have equal multiplicities to every other vertex."""
@@ -139,8 +135,6 @@ def _canonical_form(graph: DualGraph):
                         orbit.add(g[u])
                         stack.append(g[u])
 
-    if n == 0:
-        return ((), ())
     search(_initial_partition(graph, nbrs), ())
     return best
 

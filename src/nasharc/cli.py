@@ -9,9 +9,9 @@ words only its own result; one skeleton (``_report``) stamps the schema and
 the command, adds the lattice block and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
 downstream; for a cluster M comes from its one simulation and the inverse
-is minus the curvette rows its replay keeps, which are built from the
-proximities and checked against the replay's lattice, so no cluster
-request eliminates for its lattice.
+is minus the curvette rows its replay keeps, built from the proximities
+and checked against its lattice with no elimination; M itself is swept
+once by ``cluster build`` (det M) and ``adj obstruct --returns`` (solves).
 
 Exit codes: 0 analysis completed (the verdict lives inside the report),
 2 input or validation error, 3 internal invariant violation.
@@ -79,6 +79,8 @@ def _read_json(path: str) -> dict:
         raise ValidationError(
             f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep, or past the digit limit
+        raise ValidationError(f"{path} is not a readable JSON document: {exc}") from None
 
 
 @contextlib.contextmanager

@@ -373,13 +373,13 @@ def closure_indices(cluster: BlowupCluster, *seeds: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def minimal_joint_model(cluster: BlowupCluster, e: int, f: int) -> BlowupCluster:
+def minimal_joint_model(cluster: BlowupCluster, e: int, f: int, keep=None) -> BlowupCluster:
     """The smallest sub-cluster in which both chosen components appear.
 
-    Keeps the proximity closure of the two centers, reindexed in the same
-    order, with tangent parameters carried along unchanged.
+    Keeps the proximity closure of the two centers (``keep``, when the caller
+    has it), reindexed in the same order, with tangent parameters unchanged.
     """
-    keep = closure_indices(cluster, e, f)
+    keep = closure_indices(cluster, e, f) if keep is None else keep
     index = {old: new for new, old in enumerate(keep)}
     pts = []
     for old in keep:
@@ -402,10 +402,9 @@ def pair_graph(cluster: BlowupCluster, e: int, f: int) -> DualGraph:
     A single vertex carries both labels when e equals f.
     """
     keep = closure_indices(cluster, e, f)
-    index = {old: new for new, old in enumerate(keep)}
-    graph = simulate(minimal_joint_model(cluster, e, f))
-    extra: dict[int, set[str]] = {index[e]: {"E"}}
-    extra.setdefault(index[f], set()).add("F")
+    graph = simulate(minimal_joint_model(cluster, e, f, keep))
+    extra: dict[int, set[str]] = {keep.index(e): {"E"}}
+    extra.setdefault(keep.index(f), set()).add("F")
     return graph.with_labels(extra)
 
 

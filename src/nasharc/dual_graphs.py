@@ -114,24 +114,24 @@ class DualGraph:
                     return i
         raise ValidationError(f"unknown vertex id {vid!r}")
 
-    def adjacency_counts(self) -> dict[VertexId, dict[VertexId, int]]:
-        counts: dict[VertexId, dict[VertexId, int]] = {v.id: {} for v in self.vertices}
+    def neighbours(self) -> list[dict[int, int]]:
+        """For each vertex index, ``{neighbour index: edge multiplicity}``."""
+        index = {v.id: i for i, v in enumerate(self.vertices)}
+        nbrs: list[dict[int, int]] = [{} for _ in self.vertices]
         for a, b in self.edges:
-            counts[a][b] = counts[a].get(b, 0) + 1
-            counts[b][a] = counts[b].get(a, 0) + 1
-        return counts
+            i, j = index[a], index[b]
+            nbrs[i][j] = nbrs[j][i] = nbrs[i].get(j, 0) + 1
+        return nbrs
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.adjacency_counts()
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
+        nbrs = self.neighbours()
+        seen: set[int] = set()
+        stack = [0] if nbrs else []
         while stack:
-            for nbr in adj[stack.pop()]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
+            i = stack.pop()
+            if i not in seen:
+                seen.add(i)
+                stack.extend(nbrs[i])
         return len(seen) == self.n
 
     def relabel(self, mapping: Mapping[VertexId, VertexId]) -> "DualGraph":
@@ -250,7 +250,7 @@ def graph_from_doc(doc) -> DualGraph:
         GraphVertex(v["id"], v["self_int"], v.get("genus", 0), frozenset(v.get("labels", [])))
         for v in doc["vertices"]
     )
-    return DualGraph(vs, tuple((a, b) for a, b in doc["edges"]))
+    return DualGraph(vs, tuple((a, b) for a, b in doc.get("edges", [])))
 
 
 def intersection_matrix(graph: DualGraph) -> ExactMatrix:

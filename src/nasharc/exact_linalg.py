@@ -2,17 +2,17 @@
 
 This is the arithmetic backbone for every intersection-lattice computation
 in the package.  An entry is an ``int`` whenever it is integral and a
-``Fraction`` only for a true quotient.  Each matrix gets one elimination:
-a fraction-free Gauss-Jordan sweep of [M | I] over Python integers
-(Bareiss, Math. Comp. 22, 1968), run on first use and kept on the matrix.
-Determinants, inverses and linear solves read that sweep, followed by a
-single exact division; the Sylvester negative-definiteness test reads the
-signs of its pivots before the first row swap, the leading principal minors
-up to positive row scales.  A row of ``int`` entries enters the sweep
-unscaled.  Entries are validated once, by ``from_rows``; products and
-transposes of exact matrices are not re-validated, so a float passed to the
-bare constructor is not caught there.  Matrices are immutable; all
-operations return new values and are safe to run concurrently.
+``Fraction`` only for a true quotient.  Each matrix gets one elimination: a
+fraction-free Gauss-Jordan sweep of [s M | s I] over Python integers
+(Bareiss, Math. Comp. 22, 1968), s the lcm of all denominators, run on first
+use and kept on the matrix; ``int`` entries (s = 1) enter it unscaled.
+Determinants, inverses and solves read that sweep, then one exact division;
+Sylvester's negative-definiteness test reads the signs of its pivots before
+the first row swap, the leading principal minors times powers of s.  Entries
+are validated once, by ``from_rows``; products and transposes of exact
+matrices are not re-validated, so a float passed to the bare constructor is
+not caught there.  Matrices are immutable; all operations return new values
+and are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, SingularMatrixError, ValidationError
@@ -36,27 +36,10 @@ def _coerce(value) -> Fraction | int:
     return exact_rational(value, "matrix entries")
 
 
-def _quotient(num: int, den: int) -> Fraction | int:
+def _quotient(num: Fraction | int, den: int) -> Fraction | int:
     """num / den, as an int when the division is exact."""
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
-
-
-def _integer_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those positive scales.
-
-    A row of ``int`` entries is its own integer row, with scale 1.
-    """
-    out, scales = [], []
-    for row in rows:
-        if all(type(v) is int for v in row):
-            out.append(list(row))
-            scales.append(1)
-            continue
-        s = lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (s // v.denominator) for v in row])
-        scales.append(s)
-    return out, scales
 
 
 def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
@@ -159,23 +142,30 @@ class ExactMatrix:
     # -- the kept elimination and what reads it ----------------------------
 
     @cached_property
-    def _sweep(self) -> tuple[list[int], list[int], int, list[list[int]]]:
-        """The one elimination of [M | I], run on first use and kept on the matrix.
+    def _sweep(self) -> tuple[list[int], int, int, list[list[int]]]:
+        """The one elimination of [s M | s I], run on first use and kept on the matrix.
 
-        With rows scaled by s > 0, S = diag(s): the pivots before the first
-        swap (the leading minors of S M), s, d = det(S M), and d M^-1 if d != 0.
+        With s the lcm of every entry's denominator: the pivots before the
+        first swap (the leading minors of s M), s, d = det(s M) = s^n det M,
+        and the right block, d M^-1 if d != 0.
         """
         n = self.n
-        identity = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-        m, scales = _integer_rows(map(tuple.__add__, self.rows, identity))
+        s = lcm(*{v.denominator for row in self.rows for v in row})
+        if s == 1:
+            m = [list(row) for row in self.rows]
+        else:
+            m = [[v.numerator * (s // v.denominator) for v in row] for row in self.rows]
+        for i, row in enumerate(m):
+            row += [0] * n
+            row[n + i] = s
         pivots, leading = _eliminate(m)
         det = 0 if len(pivots) < n else pivots[-1] if pivots else 1
-        return pivots[:leading], scales, det, [row[n:] for row in m]
+        return pivots[:leading], s, det, [row[n:] for row in m]
 
     def determinant(self) -> Fraction | int:
-        """Exact determinant: det(S M) from the kept sweep over the row scales."""
-        _, scales, det, _ = self._sweep
-        return _quotient(det, prod(scales))
+        """Exact determinant: det(s M) from the kept sweep over s^n."""
+        _, s, det, _ = self._sweep
+        return _quotient(det, s**self.n)
 
     def inverse(self) -> "ExactMatrix":
         """Exact inverse; raises SingularMatrixError on singular input."""
@@ -185,14 +175,14 @@ class ExactMatrix:
         return ExactMatrix(tuple(tuple(_quotient(v, det) for v in row) for row in block))
 
     def solve(self, rhs: Sequence) -> tuple[Fraction | int, ...]:
-        """Solve M x = rhs exactly; raises SingularMatrixError when det = 0."""
+        """Solve M x = rhs exactly: (d M^-1) rhs / d; raises SingularMatrixError when d = 0."""
         if len(rhs) != self.n:
             raise ValidationError("right-hand side has wrong length")
-        (b,), (scale,) = _integer_rows([[_coerce(v) for v in rhs]])
+        b = [_coerce(v) for v in rhs]
         _, _, det, block = self._sweep
         if det == 0:
             raise SingularMatrixError("matrix is singular, no exact inverse or solution")
-        return tuple(_quotient(sum(a * v for a, v in zip(row, b)), det * scale) for row in block)
+        return tuple(_quotient(sum(map(operator.mul, row, b)), det) for row in block)
 
     # -- serialization -------------------------------------------------------
 
@@ -208,8 +198,8 @@ def is_negative_definite(matrix: ExactMatrix) -> bool:
     """Sylvester test: (-1)^k times the k-th leading minor is positive for all k.
 
     Only symmetric matrices are accepted; the test is exact.  The pivots
-    the kept sweep takes before any row swap are the leading minors times
-    positive scales, so their signs decide; a swap means a vanishing minor.
+    the kept sweep takes before any row swap are the leading k-minors of M
+    times s^k > 0, so their signs decide; a swap means a vanishing minor.
     """
     if not matrix.is_symmetric():
         raise ValidationError("negative-definiteness is only defined for symmetric matrices")

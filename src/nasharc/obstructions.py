@@ -374,7 +374,9 @@ class KnowledgeBase:
                 record = KBRecord(
                     doc["key"], ObstructionStatus(doc["status"]), doc.get("provenance", "")
                 )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                if not (isinstance(record.key_text, str) and isinstance(record.provenance, str)):
+                    raise TypeError("key and provenance must be strings")
+            except (RecursionError, KeyError, ValueError, TypeError) as exc:
                 raise KnowledgeBaseError(
                     f"{self.path}:{lineno}: corrupt knowledge-base record: {exc}"
                 ) from exc

@@ -9,30 +9,29 @@ matrix entries, coefficients and tangents.
 
 from __future__ import annotations
 
+import re
+import sys
+from enum import Enum
 from fractions import Fraction
 
 from .errors import ValidationError
 
 
-class _Infinity:
+class _Infinity(Enum):
     """Direction marker for the vertical tangent; compares equal only to itself."""
 
-    _instance = None
+    INF = "inf"
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __hash__ = object.__hash__  # by identity: tangents are hashed on every replay
 
     def __repr__(self):
         return "inf"
 
-    def __reduce__(self):
-        return (_Infinity, ())
+    __str__ = __repr__
 
 
 #: The tangent direction "x = 0" on an exceptional component.
-INF = _Infinity()
+INF = _Infinity.INF
 
 Rational = Fraction | int
 Tangent = Fraction | int | _Infinity
@@ -44,15 +43,29 @@ def is_exact_int(value) -> bool:
 
 
 def parse_rational(text: str | Rational) -> Fraction:
-    """Parse ``"p/q"`` or an integer literal, or take an exact scalar, into a Fraction."""
+    """Parse ``"p/q"`` or a decimal literal, or take an exact scalar, into a Fraction."""
     if is_exact_int(text) or isinstance(text, Fraction):
-        return Fraction(text)
+        return _within_digit_limit(Fraction(text), "rational number")
     if isinstance(text, str):
+        source = text.strip().replace("−", "-")
+        exponent = re.search(r"e([-+]?[\d_]+)$", source, re.IGNORECASE)
+        limit = sys.get_int_max_str_digits()
         try:
-            return Fraction(text.strip().replace("−", "-"))
+            if limit and exponent and abs(int(exponent[1])) > limit + len(source):  # not building 10**exponent
+                raise ValidationError(f"rational number past the {limit}-digit limit of integer conversion")
+            return _within_digit_limit(Fraction(source), "rational number")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed rational {text!r}: {exc}") from exc
     raise ValidationError(f"expected a rational number, got {text!r}")
+
+
+def _within_digit_limit(value: Fraction, what: str) -> Fraction:
+    """The value, unless its numerator or denominator has more digits than ints convert to text."""
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(value.numerator), value.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValidationError(f"{what} past the {limit}-digit limit of integer conversion")
+    return value
 
 
 def canonical_rational(value: Rational) -> Rational:
@@ -71,19 +84,18 @@ def exact_rational(value, what: str) -> Rational:
 
 def format_rational(value: Rational) -> str:
     """Render exactly, as ``"p/q"`` or a plain integer string."""
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    try:
+        return str(Fraction(value))
+    except ValueError:  # past the digit limit: refused as parse_rational refuses it
+        _within_digit_limit(Fraction(value), "result")
+        raise
 
 
 def parse_tangent(value) -> Tangent | None:
     """Parse a tangent field: a rational, the string ``"inf"``, or ``None``."""
     if value is None:
         return None
-    if isinstance(value, _Infinity):
-        return INF
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
+    if value is INF or isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
         return INF
     return parse_rational(value)
 
@@ -91,6 +103,6 @@ def parse_tangent(value) -> Tangent | None:
 def format_tangent(value: Tangent | None):
     if value is None:
         return None
-    if isinstance(value, _Infinity):
+    if value is INF:
         return "inf"
     return format_rational(value)

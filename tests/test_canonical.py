@@ -30,6 +30,10 @@ def test_relabeling_invariance_a2():
     assert canonical_key(first).key == canonical_key(second).key
 
 
+def test_empty_graph_has_the_empty_key():
+    assert canonical_key(DualGraph((), ())).as_text() == '{"e":[],"v":[]}'
+
+
 def test_chain_and_star_differ():
     chain = DualGraph.build([(0, -2), (1, -2), (2, -2), (3, -2)], [(0, 1), (1, 2), (2, 3)])
     star = DualGraph.build([(0, -2), (1, -2), (2, -2), (3, -2)], [(0, 1), (0, 2), (0, 3)])

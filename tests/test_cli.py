@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import sys
+import tempfile
 import time
+from unittest import mock
 
 import pytest
 from helpers import count_eliminations
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nasharc.cli as cli
 from nasharc import (
@@ -568,6 +576,13 @@ def test_edge_endpoints_follow_the_vertex_id_rule(command, endpoint, tmp_path, c
                    f"edges[0]: endpoint {endpoint!r} or 2 is not a declared vertex\n")
 
 
+def test_graph_documents_may_leave_out_edges(tmp_path, capsys):
+    path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": _VERTICES})
+    code, out, err = run_cli(capsys, "graph", "check", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("graph: 2 vertices, 0 edges, disconnected\n")
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -628,3 +643,184 @@ def test_germ_text_refusal(capsys):
     code, out, err = run_cli(capsys, "val", "ord", "chain2", "0", "--poly", "x y")
     assert code == 2 and out == ""
     assert err == "error: polynomial parse error: expected + or -, got 'y'\n"
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LONG_INT = "9" * 5000  # past the interpreter's 4300-digit conversion limit
+_INPUTS = {
+    ("graph", "check"): {"schema": "dualgraph/1", "vertices": _VERTICES, "edges": [[1, 2]]},
+    ("cluster", "build"): {"schema": "cluster/1", "points": [{}, {"parent": 0, "tangent": 1}]},
+    ("dfd", "check"): {"schema": "wedgemodel/1", "cluster": "chain2", "special": 0, "c": [0, 0], "d": [0, 0]},
+}
+
+
+@pytest.mark.parametrize("command", list(_INPUTS))
+@pytest.mark.parametrize("text", [_DEEP, '{"schema": ' + _DEEP + "}", '{"self_int": ' + _LONG_INT + "}"])
+def test_unreadable_json_is_an_input_error(command, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not a readable JSON document: ") and err.count("\n") == 1
+
+
+def test_a_deep_verdict_store_line_is_a_corrupt_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_STORES", {})
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text(_DEEP + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "pair", "canon", "chain2", "0", "1", "--kb", str(kb))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {kb}:1: corrupt knowledge-base record: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, change, where",
+    [
+        (("cluster", "build"), {"points": [{}, {"parent": 0, "tangent": "1e400000"}]},
+         "invalid cluster document: points[1].tangent: "),
+        (("dfd", "check"), {"b": ["1e400000", 0]}, ""),
+        (("dfd", "check"), {"cluster": {"schema": "cluster/1", "points": [{}, {"parent": 0, "tangent": "-1e-400000"}]}},
+         "invalid cluster document: points[1].tangent: "),
+    ],
+)
+def test_rationals_past_the_digit_limit_are_refused(command, change, where, tmp_path, capsys):
+    path = _write(tmp_path, {**_INPUTS[command], **change})
+    code, out, err = run_cli(capsys, *command, str(path))
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {where}rational number past the {limit}-digit limit of integer conversion\n"
+
+
+def test_a_result_past_the_digit_limit_is_refused(tmp_path, capsys):
+    # each weight is within the limit; the determinant, their product, is not
+    weight = -(10 ** (sys.get_int_max_str_digits() - 1))
+    vertices = [{"id": 1, "self_int": weight}, {"id": 2, "self_int": weight}]
+    path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": vertices, "edges": []})
+    code, out, err = run_cli(capsys, "graph", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: result past the {sys.get_int_max_str_digits()}-digit limit of integer conversion\n"
+
+
+# -- intake fuzzing: near-valid documents and store lines never end in a traceback
+
+_HUGE, _NESTED = "\x00huge", "\x00nested"  # stand-ins, spliced into the JSON text
+_EDGE_INTS = st.sampled_from([-(10**4299), 10**4299])  # at the digit limit; a product passes it
+_EDGE_TEXTS = st.sampled_from(["1e4300", "1e4299", "-1e-4300", "1e400000", "-1e-400000", "1e99999999999"])
+_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(-(10**40), 10**40),
+        _EDGE_INTS,
+        _EDGE_TEXTS,
+        st.sampled_from(["2.5e-3", "3/4", "1/0", "inf", "x", "", "E", _HUGE, _NESTED]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_tangents = st.integers(-2, 2) | st.fractions().map(str) | st.just("inf") | _EDGE_TEXTS
+
+
+@st.composite
+def _graph_doc(draw):
+    n = draw(st.integers(1, 4))
+    vertices = [
+        {"id": i, "self_int": draw(st.integers(-4, 1) | _EDGE_INTS), "genus": draw(st.integers(0, 1)),
+         "labels": draw(st.lists(st.sampled_from("EF"), max_size=2))}
+        for i in range(n)
+    ]
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    return {"schema": "dualgraph/1", "vertices": vertices, "edges": draw(st.lists(st.sampled_from(pairs or [[0, 0]])))}
+
+
+@st.composite
+def _cluster_doc(draw):
+    points = [{}]
+    for k in range(1, draw(st.integers(1, 4))):
+        point = {"parent": draw(st.integers(0, k - 1))}
+        if draw(st.booleans()):
+            point["tangent"] = draw(_tangents)
+        points.append(point)
+    return {"schema": "cluster/1", "points": points}
+
+
+@st.composite
+def _wedge_doc(draw):
+    n = draw(st.integers(2, 3))
+    counts = st.lists(st.integers(0, 3) | _EDGE_INTS, min_size=n, max_size=n)
+    doc = {
+        "schema": "wedgemodel/1",
+        "cluster": draw(st.just(f"chain{n}") | _cluster_doc()),
+        "special": draw(st.integers(0, n - 1)),
+        "c": draw(counts),
+        "d": draw(counts),
+        "minimal_target": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        doc["b"] = draw(st.lists(st.integers(0, 4) | _tangents, min_size=n, max_size=n))
+    return doc
+
+
+def _slots(value, top=True):
+    """Every (container, key) below ``value``, the top-level schema excepted."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if not (top and key == "schema"):
+            yield value, key
+            yield from _slots(item, top=False)
+
+
+def _near(data, doc):
+    """``doc`` with up to two of its values replaced by random ones."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        slots = list(_slots(doc))
+        if slots:
+            container, key = data.draw(st.sampled_from(slots))
+            container[key] = data.draw(_values)
+    return doc
+
+
+def _json_text(value) -> str:
+    text = json.dumps(value)
+    return text.replace(json.dumps(_HUGE), _LONG_INT).replace(json.dumps(_NESTED), _DEEP[:4000])
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.run(argv)
+
+
+_DOCUMENTS = {("graph", "check"): _graph_doc(), ("cluster", "build"): _cluster_doc(), ("dfd", "check"): _wedge_doc()}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_documents_exit_0_or_2(data):
+    command = data.draw(st.sampled_from(list(_DOCUMENTS)))
+    text = _json_text(_near(data, data.draw(_DOCUMENTS[command])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert _exit_code([*command, path]) in (0, 2), text[:500]
+
+
+_RECORD = st.fixed_dictionaries(
+    {"key": st.text(max_size=8), "status": st.sampled_from(["RULED_OUT", "NOT_RULED_OUT"])},
+    optional={"provenance": st.text(max_size=4)},
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_verdict_store_lines_exit_0_or_2(data):
+    line = _RECORD.map(lambda record: _json_text(_near(data, record))) | st.text(max_size=12) | st.just(_DEEP)
+    lines = data.draw(st.lists(line, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli._STORES, clear=True):
+        path = os.path.join(tmp, "kb.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(line + "\n" for line in lines))
+        assert _exit_code(["pair", "canon", "chain2", "0", "1", "--kb", path]) in (0, 2), lines

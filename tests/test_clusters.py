@@ -169,6 +169,22 @@ def test_pair_graph_chain():
     assert graph.vertices[1].labels == frozenset({"F"})
 
 
+def test_pair_graph_computes_its_closure_once(monkeypatch):
+    import nasharc.clusters as clusters
+
+    calls = []
+    closure = clusters.closure_indices
+
+    def spy(cluster, *seeds):
+        calls.append(seeds)
+        return closure(cluster, *seeds)
+
+    monkeypatch.setattr(clusters, "closure_indices", spy)
+    graph = pair_graph(cluster_fixture("chain5"), 1, 3)
+    assert calls == [(1, 3)]
+    assert [v.labels for v in graph.vertices] == [set(), {"E"}, set(), {"F"}]
+
+
 def test_pair_graph_two_directions_star():
     graph = pair_graph(TWO_DIRECTIONS, 1, 2)
     assert sorted(v.self_int for v in graph.vertices) == [-3, -1, -1]

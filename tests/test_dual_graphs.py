@@ -19,6 +19,10 @@ def test_intersection_matrix_single_vertex():
     assert intersection_matrix(graph).rows == ((-2,),)
 
 
+def test_empty_graph_is_connected():
+    assert DualGraph((), ()).is_connected()
+
+
 def test_intersection_matrix_a2_chain():
     graph = DualGraph.build([(0, -2), (1, -2)], [(0, 1)])
     assert [[int(v) for v in row] for row in intersection_matrix(graph).rows] == [
@@ -38,7 +42,7 @@ def test_intersection_matrix_disconnected():
 def test_multi_edges_count_with_multiplicity():
     graph = DualGraph.build([(0, -3), (1, -3)], [(0, 1), (0, 1)])
     assert int(intersection_matrix(graph).rows[0][1]) == 2
-    assert graph.adjacency_counts() == {0: {1: 2}, 1: {0: 2}}
+    assert graph.neighbours() == [{1: 2}, {0: 2}]
 
 
 def test_invariants_rejected():
@@ -102,7 +106,7 @@ def test_fixture_determinants(name, absdet):
 
 def test_d4_is_a_star():
     graph = standard_fixture("D4")
-    degrees = sorted(sum(counts.values()) for counts in graph.adjacency_counts().values())
+    degrees = sorted(sum(counts.values()) for counts in graph.neighbours())
     assert degrees == [1, 1, 1, 3]
 
 

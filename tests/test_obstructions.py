@@ -333,6 +333,21 @@ def test_knowledge_base_store_after_a_record_without_newline(tmp_path):
     assert path.read_text(encoding="utf-8").count("\n") == 2
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"key": [], "status": "RULED_OUT"}',
+        '{"key": 7, "status": "RULED_OUT"}',
+        '{"key": "k", "status": "RULED_OUT", "provenance": {}}',
+    ],
+)
+def test_knowledge_base_records_hold_string_keys_and_provenance(record, tmp_path):
+    path = tmp_path / "verdicts.jsonl"
+    path.write_text(record + "\n", encoding="utf-8")
+    with pytest.raises(KnowledgeBaseError, match=":1: corrupt knowledge-base record: key and provenance"):
+        KnowledgeBase(path).lookup(CanonicalKey(b"k"))
+
+
 def test_knowledge_base_reads_carriage_returns_as_line_ends(tmp_path):
     path = tmp_path / "verdicts.jsonl"
     record = '{"key": "k", "status": "RULED_OUT"}'
