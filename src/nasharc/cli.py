@@ -6,7 +6,8 @@ Subcommands: ``graph check``, ``cluster build``, ``val compare``,
 ``--format text|structured``; structured output is a single JSON document
 that parses back to the in-memory report.  Each command computes and
 words only its own result; one skeleton (``_report``) stamps the schema and
-the command, adds the lattice block and prints.  Reports echo the exact
+the command, adds the lattice block, renders each matrix it is handed (in
+the format asked for only) and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
 downstream; for a cluster M comes from its one simulation and the inverse
 is minus the curvette rows its replay keeps, built from the proximities
@@ -99,34 +100,27 @@ def _strip_fixture_prefix(name: str) -> str:
     return name
 
 
-def load_graph_input(source: str) -> DualGraph:
-    """A path to a graph document, or the name of a built-in fixture."""
+# each kind of command input: its document reader, its fixture lookup and the fixtures it names
+_INPUTS = {
+    "graph": (graph_from_doc, standard_fixture, fixture_names(), ""),
+    "cluster":
+        (cluster_from_doc, cluster_fixture, cluster_fixture_names(), " (chainN for any small N)"),
+}
+
+
+def _load_input(source: str, kind: str):
+    """A path to a ``kind`` document, or the name of a built-in ``kind`` fixture."""
+    from_doc, fixture, names, more = _INPUTS[kind]
     if os.path.exists(source):
         doc = _read_json(source)
         with _naming(source):
-            return graph_from_doc(doc)
-    name = _strip_fixture_prefix(source)
-    if name.upper() in fixture_names():
-        return standard_fixture(name)
-    raise ValidationError(
-        f"{source!r} is neither a readable file nor one of the graph fixtures "
-        f"{', '.join(fixture_names())}"
-    )
-
-
-def load_cluster_input(source: str) -> BlowupCluster:
-    """A path to a cluster document, or the name of a built-in cluster fixture."""
-    if os.path.exists(source):
-        doc = _read_json(source)
-        with _naming(source):
-            return cluster_from_doc(doc)
-    name = _strip_fixture_prefix(source)
+            return from_doc(doc)
     try:
-        return cluster_fixture(name)
+        return fixture(_strip_fixture_prefix(source))
     except ValidationError:
         raise ValidationError(
-            f"{source!r} is neither a readable file nor one of the cluster fixtures "
-            f"{', '.join(cluster_fixture_names())} (chainN for any small N)"
+            f"{source!r} is neither a readable file nor one of the {kind} fixtures "
+            f"{', '.join(names)}{more}"
         ) from None
 
 
@@ -144,15 +138,9 @@ def _parse_vertex_id(text: str):
         return text
 
 
-def _matrix_lines(title: str, M: ExactMatrix) -> list[str]:
-    return [f"{title}:"] + ["  [" + "  ".join(map(format_rational, row)) + "]" for row in M.rows]
-
-
-def _lattice_lines(M: ExactMatrix, inverse: ExactMatrix | None) -> list[str]:
-    lines = _matrix_lines("intersection matrix M", M)
-    if inverse is not None:
-        lines += _matrix_lines("inverse M^-1", inverse)
-    return lines
+def _lattice(M: ExactMatrix, inverse: ExactMatrix | None) -> list[tuple[str, ExactMatrix]]:
+    """The lattice block of a text report, unrendered: M, then M^-1 when there is one."""
+    return [("intersection matrix M", M)] + ([] if inverse is None else [("inverse M^-1", inverse)])
 
 
 def _cluster_lattice(cluster: BlowupCluster) -> tuple[DualGraph, ExactMatrix, ExactMatrix]:
@@ -161,22 +149,32 @@ def _cluster_lattice(cluster: BlowupCluster) -> tuple[DualGraph, ExactMatrix, Ex
     return graph, intersection_matrix(graph), ExactMatrix(curvette_order_rows(cluster)).neg()
 
 
-def _report(args, fields: dict, lines: list[str], M=None, inverse=None) -> int:
-    """Print one report, as text lines or as a JSON document; the exit code is 0."""
-    report = {"schema": REPORT_SCHEMA, "command": f"{args.group} {args.action}", **fields}
+def _report(args, fields: dict, lines: list, M=None, inverse=None) -> int:
+    """Print one report, as text lines or as a JSON document; the exit code is 0.  The one
+    place a matrix is rendered: a ``(title, matrix)`` line, a matrix field, M and M^-1."""
+    if args.format == "text":
+        text = []
+        for line in lines:
+            if isinstance(line, str):
+                text.append(line)
+            else:
+                title, matrix = line
+                text.append(f"{title}:")
+                text += ("  [" + "  ".join(map(format_rational, row)) + "]" for row in matrix.rows)
+        print(*text, sep="\n")
+        return 0
+    report = {"schema": REPORT_SCHEMA, "command": f"{args.group} {args.action}"}
+    report.update((k, v.to_doc() if isinstance(v, ExactMatrix) else v) for k, v in fields.items())
     if M is not None:
         report["matrices"] = {
             "M": M.to_doc(),
             "M_inverse": None if inverse is None else inverse.to_doc(),
         }
-    if args.format == "structured":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(*lines, sep="\n")
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list[str]):
+def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list):
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(graph.to_dot())
@@ -190,7 +188,7 @@ def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list[str]):
 
 
 def _cmd_graph_check(args) -> int:
-    graph = load_graph_input(args.input)
+    graph = _load_input(args.input, "graph")
     M = intersection_matrix(graph)
     neg_def = is_negative_definite(M)
     det = M.determinant()
@@ -198,14 +196,14 @@ def _cmd_graph_check(args) -> int:
     lines = [
         f"graph: {graph.n} vertices, {len(graph.edges)} edges, "
         f"{'connected' if graph.is_connected() else 'disconnected'}",
-        *_matrix_lines("intersection matrix M", M),
+        ("intersection matrix M", M),
         f"negative definite: {'yes' if neg_def else 'no'}",
         f"det(M) = {format_rational(det)}",
     ]
     if det != 0:
         inverse = M.inverse()
         sign = check_inverse_nonpositive(M)
-        lines += _matrix_lines("inverse M^-1", inverse)
+        lines.append(("inverse M^-1", inverse))
         if sign.strictly_negative:
             lines.append("inverse sign: all entries strictly negative")
         elif sign.all_nonpositive:
@@ -227,7 +225,7 @@ def _cmd_graph_check(args) -> int:
 
 
 def _cmd_cluster_build(args) -> int:
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     graph, M, inverse = _cluster_lattice(cluster)
     P = proximity_matrix(cluster)
     if intersection_from_proximity(P).rows != M.rows:
@@ -236,9 +234,9 @@ def _cmd_cluster_build(args) -> int:
     det = format_rational(M.determinant())
     lines = [
         f"cluster: {cluster.n} points",
-        *_matrix_lines("proximity matrix P", P),
-        *_matrix_lines("intersection matrix M (= -P^t P, cross-checked)", M),
-        *_matrix_lines("inverse M^-1", inverse),
+        ("proximity matrix P", P),
+        ("intersection matrix M (= -P^t P, cross-checked)", M),
+        ("inverse M^-1", inverse),
         f"det(M) = {det}",
         "canonical coefficients: (" + ", ".join(map(str, coeffs)) + ")",
         "dual graph: " + ", ".join(f"{v.id}:{v.self_int}" for v in graph.vertices)
@@ -247,7 +245,7 @@ def _cmd_cluster_build(args) -> int:
     fields = {
         "cluster": cluster.to_doc(),
         "graph": graph.to_doc(),
-        "proximity_matrix": P.to_doc(),
+        "proximity_matrix": P,
         "determinant": det,
         "canonical_coefficients": list(coeffs),
     }
@@ -257,7 +255,7 @@ def _cmd_cluster_build(args) -> int:
 
 
 def _cmd_val_compare(args) -> int:
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     result = compare(cluster, args.e, args.f)
     _, M, inverse = _cluster_lattice(cluster)
     rows = curvette_order_rows(cluster)
@@ -272,21 +270,21 @@ def _cmd_val_compare(args) -> int:
         "comparison": result.value,
         "order_rows": {str(args.e): list(rows[args.e]), str(args.f): list(rows[args.f])},
     }
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 def _cmd_val_ord(args) -> int:
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     poly = parse_poly(args.poly)
     value = ord_poly(cluster, poly, args.e)
     _, M, inverse = _cluster_lattice(cluster)
     lines = [f"ord of {poly} along component {args.e}: {value}"]
     fields = {"e": args.e, "polynomial": str(poly), "ord": value}
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 def _cmd_adj_obstruct(args) -> int:
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     verdict = valuative_obstruction(cluster, args.e, args.f)
     _, M, inverse = _cluster_lattice(cluster)
     lines = [
@@ -308,11 +306,11 @@ def _cmd_adj_obstruct(args) -> int:
         ]
         fields["returns_system"] = result.to_doc()
         fields["returns_special"] = special
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 def _cmd_adj_table(args) -> int:
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     table = sorted(adjacency_table(cluster).items())
     _, M, inverse = _cluster_lattice(cluster)
     lines = [f"adjacency table over {cluster.n} components (row f into column e):"]
@@ -320,11 +318,11 @@ def _cmd_adj_table(args) -> int:
         mark = "ruled out" if verdict.ruled_out else "not ruled out"
         lines.append(f"  N_{f} in N_{e}: {mark}")
     fields = {"verdicts": [{"e": e, "f": f, **verdict.to_doc()} for (e, f), verdict in table]}
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 def _cmd_euler_bound(args) -> int:
-    graph = load_graph_input(args.input)
+    graph = _load_input(args.input, "graph")
     coeffs = _parse_int_csv(args.coeffs, "coeffs")
     data = EulerInput(graph, coeffs, _parse_vertex_id(args.attach))
     cert = contradiction_certificate(data)
@@ -356,7 +354,7 @@ def _cmd_euler_bound(args) -> int:
     else:
         lines.append("no contradiction: bound does not exclude a disk")
     fields = {"bounds": parts, "certificate": cert.to_doc()}
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 WEDGE_SCHEMA = "wedgemodel/1"
@@ -370,7 +368,7 @@ def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
         raise ValidationError(f"{path}: schema: expected {WEDGE_SCHEMA!r}, got {doc.get('schema')!r}")
     cluster_field = doc.get("cluster")
     if isinstance(cluster_field, str):
-        cluster = load_cluster_input(cluster_field)
+        cluster = _load_input(cluster_field, "cluster")
     elif isinstance(cluster_field, dict):
         with _naming(path):
             cluster = cluster_from_doc(cluster_field)
@@ -425,7 +423,7 @@ def _cmd_dfd_check(args) -> int:
             + f": {verdict.reason}"
         )
         fields["lifting"] = verdict.to_doc()
-    return _report(args, fields, lines + _lattice_lines(M, inverse), M, inverse)
+    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
 
 
 def _cmd_pair_canon(args) -> int:
@@ -433,7 +431,7 @@ def _cmd_pair_canon(args) -> int:
         raise ValidationError("--store needs --kb, the verdict store to record into")
     if args.provenance is not None and not args.store:
         raise ValidationError("--provenance needs --store, the verdict it annotates")
-    cluster = load_cluster_input(args.input)
+    cluster = _load_input(args.input, "cluster")
     graph = pair_graph(cluster, args.e, args.f)
     key = canonical_key(graph)
     lines = [

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .dual_graphs import DualGraph, GraphVertex
+from .dual_graphs import DualGraph, GraphVertex, document_items, object_items
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
 from .rationals import INF, Tangent, canonical_rational, format_tangent, is_exact_int, parse_tangent
@@ -232,21 +232,11 @@ CLUSTER_SCHEMA = "cluster/1"
 
 def validate_cluster_doc(doc) -> list[str]:
     """Schema diagnostics for a cluster document; empty means structurally valid."""
+    points = document_items(doc, CLUSTER_SCHEMA, "points")
+    if isinstance(points, str):
+        return [points]
     diags: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document: expected a JSON object"]
-    if doc.get("schema") != CLUSTER_SCHEMA:
-        diags.append(f"schema: expected {CLUSTER_SCHEMA!r}, got {doc.get('schema')!r}")
-        return diags
-    points = doc.get("points")
-    if not isinstance(points, list) or not points:
-        diags.append("points: expected a non-empty list")
-        return diags
-    for k, p in enumerate(points):
-        where = f"points[{k}]"
-        if not isinstance(p, dict):
-            diags.append(f"{where}: expected an object")
-            continue
+    for k, where, p in object_items("points", points, diags):
         parent = p.get("parent")
         if k == 0:
             if parent is not None:
@@ -467,8 +457,8 @@ def enumerate_tangent_assignments(
 def cluster_fixture(name: str) -> BlowupCluster:
     """Small named clusters used by the command line and the walkthroughs."""
     key = name.strip().lower()
-    if key.startswith("chain") and key[5:].isdigit():
-        n = int(key[5:])
+    if key.startswith("chain") and key[5:].isdecimal():
+        n = int(key[5:]) if len(key) < 10 else 0  # else past MAX_POINTS, maybe the digit limit
         if not 1 <= n <= MAX_POINTS:
             raise ValidationError(f"chain fixtures exist for 1..{MAX_POINTS} points")
         pts = [ClusterPoint()] + [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 from .exact_linalg import ExactMatrix
@@ -183,32 +183,48 @@ class DualGraph:
 
 
 GRAPH_SCHEMA = "dualgraph/1"
-# graph documents only; the lattice sweep is cubic in the vertex count
+# Graph documents only: the lattice sweep is cubic in the vertices, and its
+# entries grow with the weights and repeated edges.  At these caps the worst
+# shapes measured (100 vertices of weights +-9, a star or 1,000 random edges)
+# take 1.2 s in ``graph check``/``euler bound`` (2 cores); 2-digit weights 2.0 s.
 MAX_GRAPH_VERTICES = 100
+MAX_WEIGHT_DIGITS = 1
+MAX_GRAPH_EDGES = 1000
+
+
+def document_items(doc, schema: str, field: str) -> list | str:
+    """The ``field`` list of a ``schema`` document, or the diagnostic that stops its check:
+    the document is not an object, has another schema, or no non-empty ``field`` list."""
+    if not isinstance(doc, dict):
+        return "document: expected a JSON object"
+    if doc.get("schema") != schema:
+        return f"schema: expected {schema!r}, got {doc.get('schema')!r}"
+    items = doc.get(field)
+    if not isinstance(items, list) or not items:
+        return f"{field}: expected a non-empty list"
+    return items
+
+
+def object_items(field: str, items: list, diags: list[str]) -> Iterator[tuple[int, str, dict]]:
+    """(index, where, item) for each object in ``items``; each other item adds a diagnostic."""
+    for k, item in enumerate(items):
+        if isinstance(item, dict):
+            yield k, f"{field}[{k}]", item
+        else:
+            diags.append(f"{field}[{k}]: expected an object")
 
 
 def validate_graph_doc(doc) -> list[str]:
     """Schema and invariant diagnostics for a graph document; empty means valid."""
-    diags: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document: expected a JSON object"]
-    schema = doc.get("schema")
-    if schema != GRAPH_SCHEMA:
-        diags.append(f"schema: expected {GRAPH_SCHEMA!r}, got {schema!r}")
-        return diags
-    vertices = doc.get("vertices")
-    if not isinstance(vertices, list) or not vertices:
-        diags.append("vertices: expected a non-empty list")
-        return diags
+    vertices = document_items(doc, GRAPH_SCHEMA, "vertices")
+    if isinstance(vertices, str):
+        return [vertices]
     if len(vertices) > MAX_GRAPH_VERTICES:
         return [f"vertices: graph documents are limited to {MAX_GRAPH_VERTICES} vertices, "
                 f"got {len(vertices)}"]
+    diags: list[str] = []
     seen: set = set()
-    for k, v in enumerate(vertices):
-        where = f"vertices[{k}]"
-        if not isinstance(v, dict):
-            diags.append(f"{where}: expected an object")
-            continue
+    for _, where, v in object_items("vertices", vertices, diags):
         vid = v.get("id")
         if not is_vertex_id(vid):
             diags.append(f"{where}.id: expected an int or string")
@@ -219,6 +235,9 @@ def validate_graph_doc(doc) -> list[str]:
         si = v.get("self_int")
         if not is_exact_int(si):
             diags.append(f"{where}.self_int: expected an integer")
+        elif abs(si) >= 10**MAX_WEIGHT_DIGITS:
+            diags.append(f"{where}.self_int: graph documents are limited to "
+                         f"{MAX_WEIGHT_DIGITS}-digit weights")
         genus = v.get("genus", 0)
         if not is_exact_int(genus) or genus < 0:
             diags.append(f"{where}.genus: expected a non-negative integer")
@@ -229,6 +248,9 @@ def validate_graph_doc(doc) -> list[str]:
     if not isinstance(edges, list):
         diags.append("edges: expected a list of id pairs")
         return diags
+    if len(edges) > MAX_GRAPH_EDGES:
+        return diags + [f"edges: graph documents are limited to {MAX_GRAPH_EDGES} edges, "
+                        f"got {len(edges)}"]
     for k, e in enumerate(edges):
         where = f"edges[{k}]"
         if not isinstance(e, list) or len(e) != 2:
@@ -285,23 +307,12 @@ def standard_fixture(name: str) -> DualGraph:
     All vertices carry genus 0 and self-intersection -2.
     """
     key = name.strip().upper()
-    if key.startswith("A") and key[1:].isdigit():
-        n = int(key[1:])
-        if not 1 <= n <= 10:
-            raise ValidationError(f"A_n fixtures are provided for 1 <= n <= 10, got {name!r}")
+    if key not in fixture_names():
+        raise ValidationError(f"unknown fixture {name!r}; expected A1..A10, D4..D10, E6, E7 or E8")
+    n = int(key[1:])
+    if key[0] == "A":
         return DualGraph.build([(i, -2) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
-    if key.startswith("D") and key[1:].isdigit():
-        n = int(key[1:])
-        if not 4 <= n <= 10:
-            raise ValidationError(f"D_n fixtures are provided for 4 <= n <= 10, got {name!r}")
-        return _star((1, 1, n - 3))
-    if key == "E6":
-        return _star((1, 2, 2))
-    if key == "E7":
-        return _star((1, 2, 3))
-    if key == "E8":
-        return _star((1, 2, 4))
-    raise ValidationError(f"unknown fixture {name!r}; expected A1..A10, D4..D10, E6, E7 or E8")
+    return _star((1, 1, n - 3) if key[0] == "D" else (1, 2, n - 4))
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -30,16 +30,6 @@ class Poly2:
         what = "polynomial coefficients"
         self.terms = {k: c for k, v in items if (c := v if type(v) is int else exact_rational(v, what))}
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Poly2":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, a: int, b: int, c=1) -> "Poly2":
-        return cls({(a, b): c})
-
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
@@ -196,7 +186,10 @@ MAX_GERM_TERMS = 256
 
 
 def parse_poly(text: str) -> Poly2:
-    """Parse the plain-text grammar: terms like ``2/3*x^2*y`` joined by + or -."""
+    """Parse the plain-text grammar: terms like ``2/3*x^2*y`` joined by + or -.
+
+    Each term is read into one coefficient and one exponent pair, added into
+    a single term dict; the one ``Poly2`` is built at the end."""
     source = text.replace("−", "-")
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -242,10 +235,10 @@ def parse_poly(text: str) -> Poly2:
             return canonical_rational(Fraction(num, den))
         return num
 
-    def parse_factor() -> Poly2:
+    def parse_factor() -> tuple[Rational, int, int]:  # a coefficient, the exponents of x and y
         kind, value = peek()
         if kind == "num":
-            return Poly2.constant(parse_rational_token())
+            return parse_rational_token(), 0, 0
         if kind == "var":
             take()
             exp = 1
@@ -255,35 +248,38 @@ def parse_poly(text: str) -> Poly2:
                 if kind2 != "num":
                     raise ValidationError("polynomial parse error: expected an exponent")
                 exp = number(value2)
-            return Poly2.monomial(exp, 0) if value == "x" else Poly2.monomial(0, exp)
+            return (1, exp, 0) if value == "x" else (1, 0, exp)
         got = "the end of the germ text" if kind is None else repr(value)
         raise ValidationError(f"polynomial parse error: expected a factor, got {got}")
 
-    def parse_term() -> Poly2:
-        result = parse_factor()
+    def add_term(sign: int):
+        """Read one term and add ``sign`` times it into ``terms``."""
+        coef, a, b = parse_factor()
         while peek() == ("op", "*"):
             take()
-            result = result * parse_factor()
-        return result
+            c, da, db = parse_factor()
+            coef, a, b = coef * c, a + da, b + db
+        terms[a, b] = terms.get((a, b), 0) + sign * coef
 
     if not tokens:
         raise ValidationError("empty polynomial text")
+    terms: dict[Monomial, Rational] = {}
     sign = 1
     kind, value = peek()
     if kind == "op" and value in "+-":
         take()
         sign = -1 if value == "-" else 1
-    result = parse_term().scale(sign)
-    terms = 1
+    add_term(sign)
+    count = 1
     while idx < len(tokens):
         kind, value = take()
         if kind != "op" or value not in "+-":
             raise ValidationError(f"polynomial parse error: expected + or -, got {value!r}")
-        terms += 1
-        if terms > MAX_GERM_TERMS:
+        count += 1
+        if count > MAX_GERM_TERMS:
             raise ValidationError(f"germs are limited to {MAX_GERM_TERMS} terms")
-        term = parse_term()
-        result = result + term.scale(-1 if value == "-" else 1)
+        add_term(-1 if value == "-" else 1)
+    result = Poly2(terms)  # drops the zero coefficients and canonicalizes the rest
     degree = max((a + b for a, b in result.terms), default=0)
     if degree > MAX_GERM_DEGREE:
         raise ValidationError(f"germs are limited to total degree {MAX_GERM_DEGREE}, got {degree}")

@@ -5,9 +5,10 @@ expansion instead of Bareiss elimination, Cramer's rule instead of
 Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
 rows, and a Sylvester resultant of a pushed-down parametrization instead
-of pushing a curvette's equation down the charts, and a canonical form by
-full backtracking over every ordering of every ambiguous color class
-instead of the library's automorphism-pruned search.  `count_eliminations`
+of pushing a curvette's equation down the charts, orders along Nash's
+generic arcs instead of the chart walk, and a canonical form by full
+backtracking over every ordering of every ambiguous color class instead of
+the library's automorphism-pruned search.  `count_eliminations`
 is a spy on the elimination kernel.
 """
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 from itertools import count
 
 from nasharc import (
+    INF,
     Comparison,
     CurvetteWitness,
     DualGraph,
@@ -253,17 +255,48 @@ def pushed_parametrization(cluster, i: int) -> tuple[Poly2, Poly2]:
     integer slope free on component i, pushed down the chart chain by the chart
     maps; t rides in the x slot.  Every free point needs a tangent."""
     slope = next(s for s in count(1) if s not in cluster.forbidden_slopes(i))
-    x_t, y_t = Poly2.monomial(1, 0), Poly2.monomial(1, 0, slope)
+    x_t, y_t = Poly2({(1, 0): 1}), Poly2({(1, 0): slope})
     while i != 0:
         kind = cluster.kinds[i]
         if kind == "free":
-            y_t = x_t * (y_t + Poly2.constant(cluster.points[i].tangent))
+            y_t = x_t * (y_t + Poly2({(0, 0): cluster.points[i].tangent}))
         elif kind == "sat_y":
             y_t = x_t * y_t
         else:  # free_inf, sat_x
             x_t = x_t * y_t
         i = max(cluster.proximities(i))
     return x_t, y_t
+
+
+def arc_orders(cluster, g: Poly2) -> tuple[int, ...]:
+    """Orders of g along every component by Nash's generic arcs (Fernandez de
+    Bobadilla and Pe Pereira, Ann. of Math. 176, 2012): the arc (t, t*s) in
+    the chart of point i lifts through a general point of component i; pushed
+    to the origin through the plan's chart maps, (x, y) -> (x, x*(y + c)) or
+    (x*y, y), as polynomials in (t, s), g along it has least t-exponent
+    v_i(g).  Only + and * of Poly2s: no chart substitution, division by an
+    exceptional power or proximity unfolding."""
+    t, s, one = Poly2({(1, 0): 1}), Poly2({(0, 1): 1}), Poly2({(0, 0): 1})
+    top_a, top_b = (max(k[v] for k in g.terms) for v in (0, 1))
+    orders = []
+    for i in range(cluster.n):
+        x, y = t, t * s
+        while i != 0:
+            i, c = cluster.plan[i]
+            if c is INF:
+                x = x * y
+            else:
+                y = x * (y + Poly2({(0, 0): c}))
+        xs, ys = [one], [one]
+        while len(xs) <= top_a:
+            xs.append(xs[-1] * x)
+        while len(ys) <= top_b:
+            ys.append(ys[-1] * y)
+        value = Poly2()
+        for (a, b), coef in g.terms.items():
+            value = value + Poly2({(0, 0): coef}) * xs[a] * ys[b]
+        orders.append(min(a for a, _ in value.terms))
+    return tuple(orders)
 
 
 def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
@@ -285,10 +318,10 @@ def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
     if dx + dy > 24:
         raise ValidationError("parameter elimination is limited to small chart chains")
     # coefficient lists of X(t) - x and Y(t) - y, highest degree first
-    p = [Poly2.constant(px.get(d, 0)) for d in range(dx, -1, -1)]
-    p[-1] = p[-1] - Poly2.monomial(1, 0)
-    q = [Poly2.constant(py.get(d, 0)) for d in range(dy, -1, -1)]
-    q[-1] = q[-1] - Poly2.monomial(0, 1)
+    p = [Poly2({(0, 0): px.get(d, 0)}) for d in range(dx, -1, -1)]
+    p[-1] = p[-1] - Poly2({(1, 0): 1})
+    q = [Poly2({(0, 0): py.get(d, 0)}) for d in range(dy, -1, -1)]
+    q[-1] = q[-1] - Poly2({(0, 1): 1})
     n = dx + dy
     rows: list[list[Poly2]] = []
     for shift in range(dy):
@@ -298,7 +331,7 @@ def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InternalInvariantError("Sylvester matrix is not square")
 
-    prev = Poly2.constant(1)
+    prev = Poly2({(0, 0): 1})
     for k in range(n - 1):
         pivot = rows[k][k]  # a nonzero leading minor: y sits on the q-row diagonal
         for r in range(k + 1, n):

@@ -21,6 +21,7 @@ from nasharc import (
     pair_graph,
     standard_fixture,
 )
+from nasharc.dual_graphs import MAX_GRAPH_EDGES, MAX_WEIGHT_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,65 @@ def test_graph_documents_are_capped_at_100_vertices(tmp_path, capsys):
     assert code == 0 and "100 vertices" in out, err
 
 
+def test_graph_documents_are_capped_at_1_digit_weights(tmp_path, capsys, monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    for weight in (9, -9):
+        path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": [{"id": 0, "self_int": weight}]})
+        code, out, err = run_cli(capsys, "graph", "check", str(path))
+        assert code == 0, err
+    for weight in (10, -10, -(10**4000)):
+        calls.clear()
+        path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": [{"id": 0, "self_int": weight}]})
+        code, out, err = run_cli(capsys, "euler", "bound", str(path), "--coeffs", "1", "--attach", "0")
+        assert code == 2 and out == "" and calls == []
+        assert err == (f"error: {path}: invalid graph document: "
+                       "vertices[0].self_int: graph documents are limited to 1-digit weights\n")
+
+
+def test_graph_documents_are_capped_at_1000_edges(tmp_path, capsys, monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    path = _write(tmp_path, {**_chain_doc(2), "edges": [[0, 1]] * 1000})
+    code, out, err = run_cli(capsys, "graph", "check", str(path))
+    assert code == 0 and "1000 edges" in out, err
+    calls.clear()
+    path = _write(tmp_path, {**_chain_doc(2), "edges": [[0, 1]] * 1001})
+    euler = ("euler", "bound", str(path), "--coeffs", "1,1", "--attach", "0")
+    for argv in (("graph", "check", str(path)), euler):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and calls == []
+        assert err == (f"error: {path}: invalid graph document: "
+                       "edges: graph documents are limited to 1000 edges, got 1001\n")
+
+
+def test_graph_fixture_names_may_carry_surrounding_whitespace(capsys):
+    # as cluster fixture names (' chain2') always could
+    code, out, err = run_cli(capsys, "graph", "check", " A2")
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "graph", "check", "A2")[1]
+    assert out.startswith("graph: 2 vertices, 1 edges, connected\n")
+
+
+def test_each_matrix_is_rendered_once_in_the_format_asked_for(capsys, monkeypatch):
+    from nasharc import format_rational
+
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return format_rational(value)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nasharc") and getattr(module, "format_rational", None) is format_rational:
+            monkeypatch.setattr(module, "format_rational", spy)
+    for fmt in ("text", "structured"):
+        calls.clear()
+        code, _, err = run_cli(
+            capsys, "euler", "bound", "E8", "--coeffs", "2,3,4,5,6,4,2,3", "--attach", "7", "--format", fmt
+        )
+        assert code == 0, err
+        assert len(calls) == 128, fmt  # the 64 entries of M and the 64 of M^-1
+
+
 def test_graph_check_unknown_input(capsys):
     code, _, err = run_cli(capsys, "graph", "check", "no-such-thing")
     assert code == 2 and "fixtures" in err
@@ -117,6 +177,16 @@ def test_graph_check_unknown_input(capsys):
         "error: 'chain25' is neither a readable file nor one of the cluster fixtures chain1, chain2, "
         "chain3, chain4, chain5, twodir, satellite3 (chainN for any small N)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv", [("graph", "check", "A²"), ("cluster", "build", "chain²"), ("cluster", "build", "chain" + "9" * 5000)]
+)
+def test_fixture_names_with_other_digits_are_input_errors(argv, capsys):
+    # superscript digits pass str.isdigit but not int(); 5,000 digits pass the conversion limit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {argv[2]!r} is neither a readable file nor one of the {argv[0]} fixtures ")
 
 
 def test_graph_check_dot_export(tmp_path, capsys):
@@ -692,13 +762,13 @@ def test_rationals_past_the_digit_limit_are_refused(command, change, where, tmp_
 
 
 def test_a_result_past_the_digit_limit_is_refused(tmp_path, capsys):
-    # each weight is within the limit; the determinant, their product, is not
-    weight = -(10 ** (sys.get_int_max_str_digits() - 1))
-    vertices = [{"id": 1, "self_int": weight}, {"id": 2, "self_int": weight}]
-    path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": vertices, "edges": []})
-    code, out, err = run_cli(capsys, "graph", "check", str(path))
-    assert code == 2 and out == ""
-    assert err == f"error: result past the {sys.get_int_max_str_digits()}-digit limit of integer conversion\n"
+    # each count is within the limit; the solved b, a sum of their multiples, is not
+    count = 9 * 10 ** (sys.get_int_max_str_digits() - 1)
+    path = _write(tmp_path, {**_INPUTS[("dfd", "check")], "c": [count, count]})
+    for fmt in ("text", "structured"):
+        code, out, err = run_cli(capsys, "dfd", "check", str(path), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: result past the {sys.get_int_max_str_digits()}-digit limit of integer conversion\n"
 
 
 # -- intake fuzzing: near-valid documents and store lines never end in a traceback
@@ -724,16 +794,24 @@ _values = st.recursive(
 _tangents = st.integers(-2, 2) | st.fractions().map(str) | st.just("inf") | _EDGE_TEXTS
 
 
+_CAP = 10**MAX_WEIGHT_DIGITS
+_CAP_WEIGHTS = st.sampled_from([_CAP - 1, 1 - _CAP, _CAP, -_CAP])  # at the weight cap, and just past it
+
+
 @st.composite
 def _graph_doc(draw):
     n = draw(st.integers(1, 4))
     vertices = [
-        {"id": i, "self_int": draw(st.integers(-4, 1) | _EDGE_INTS), "genus": draw(st.integers(0, 1)),
-         "labels": draw(st.lists(st.sampled_from("EF"), max_size=2))}
+        {"id": i, "self_int": draw(st.integers(-4, 1) | _CAP_WEIGHTS | _EDGE_INTS),
+         "genus": draw(st.integers(0, 1)), "labels": draw(st.lists(st.sampled_from("EF"), max_size=2))}
         for i in range(n)
     ]
     pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
-    return {"schema": "dualgraph/1", "vertices": vertices, "edges": draw(st.lists(st.sampled_from(pairs or [[0, 0]])))}
+    edges = draw(st.lists(st.sampled_from(pairs or [[0, 0]])))
+    if draw(st.booleans()):  # repeated up to the edge cap, or just past it
+        size = draw(st.sampled_from([MAX_GRAPH_EDGES, MAX_GRAPH_EDGES + 1]))
+        edges = ((edges or pairs or [[0, 0]]) * size)[:size]
+    return {"schema": "dualgraph/1", "vertices": vertices, "edges": edges}
 
 
 @st.composite
@@ -801,11 +879,15 @@ _DOCUMENTS = {("graph", "check"): _graph_doc(), ("cluster", "build"): _cluster_d
 def test_fuzzed_documents_exit_0_or_2(data):
     command = data.draw(st.sampled_from(list(_DOCUMENTS)))
     text = _json_text(_near(data, data.draw(_DOCUMENTS[command])))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        assert _exit_code([*command, path]) in (0, 2), text[:500]
+        eliminations = count_eliminations(patch)
+        code = _exit_code([*command, path])
+    assert code in (0, 2), text[:500]
+    if command == ("graph", "check") and code == 2:  # refused at intake, before any sweep
+        assert eliminations == [], text[:500]
 
 
 _RECORD = st.fixed_dictionaries(

@@ -17,7 +17,7 @@ from operator import add, mul
 from pathlib import Path
 
 import pytest
-from helpers import eliminate_parameter, pushed_parametrization
+from helpers import arc_orders, eliminate_parameter, pushed_parametrization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,9 +48,9 @@ GERMS = tuple(parse_poly(text) for text in GERM_TEXTS)
 
 
 @st.composite
-def clusters(draw, pool=None):
-    """Clusters of 1..MAX_POINTS centers; free centers take tangents from ``pool`` if given."""
-    size = draw(st.integers(1, MAX_POINTS))
+def clusters(draw, pool=None, max_points=MAX_POINTS):
+    """Clusters of 1..max_points centers; free centers take tangents from ``pool`` if given."""
+    size = draw(st.integers(1, max_points))
     cluster = BlowupCluster((ClusterPoint(),))
     while cluster.n < size:
         if pool is None:
@@ -104,6 +104,14 @@ def test_tangent_clusters_chart_orders_and_keys(cluster, g, h, rng):
         ids = list(graph.ids)
         relabelled = graph.relabel(dict(zip(ids, rng.sample(ids, len(ids)))))
         assert canonical_key(relabelled).key == key
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(clusters(TANGENTS, max_points=16), st.sampled_from(GERMS))
+def test_tangent_clusters_arc_orders(cluster, g):
+    """Orders along the generic arcs of the components, pushed to the origin
+    through the chart maps, equal the chart walk's orders."""
+    assert arc_orders(cluster, g) == ord_vector(cluster, g)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

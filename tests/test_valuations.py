@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, product
+from operator import mul
 
 import pytest
-from helpers import eliminate_parameter, inverse_adjugate, pushed_parametrization
+from helpers import arc_orders, eliminate_parameter, inverse_adjugate, pushed_parametrization
 
 from nasharc import (
     INF,
     BlowupCluster,
+    ClusterPoint,
     Comparison,
     InternalInvariantError,
     Poly2,
@@ -347,3 +349,16 @@ def test_curvette_polynomial_matches_sympy_resultant():
                 assert ratio.is_number and ratio != 0, (cluster, i, g, resultant)
                 checked += 1
     assert checked > 50
+
+
+def test_the_arc_route_catches_a_sign_slip_in_the_free_chart(monkeypatch):
+    """Rows . profile equals the chart walk's orders for any multiplicities, so
+    a free chart taken with -c in place of c passes it; the arc route does not."""
+    subst_free = Poly2.subst_free
+    monkeypatch.setattr(Poly2, "subst_free", lambda self, c: subst_free(self, -c))
+    cluster = BlowupCluster((ClusterPoint(), ClusterPoint(0, None, Fraction(1))))
+    g = parse_poly("y - x")  # through the point of tangent 1, not through the one of tangent -1
+    orders = ord_vector(cluster, g)
+    profile = strict_transform_profile(cluster, g)
+    assert orders == tuple(sum(map(mul, row, profile)) for row in curvette_order_rows(cluster))
+    assert orders == (1, 1) and arc_orders(cluster, g) == (1, 2)
