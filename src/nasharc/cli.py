@@ -62,6 +62,7 @@ from .rationals import format_rational, parse_rational
 from .valuations import compare, curvette_order_rows, ord_poly
 
 REPORT_SCHEMA = "report/1"
+MAX_DOCUMENT_BYTES = 4 * 1024 * 1024  # a longer input document is refused unparsed (README)
 
 # resolved path -> the verdict store kept for the process; each request then
 # parses only the records appended since the last (see KnowledgeBase)
@@ -70,8 +71,10 @@ _STORES: dict[str, KnowledgeBase] = {}
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            if len(data := handle.read(MAX_DOCUMENT_BYTES + 1)) > MAX_DOCUMENT_BYTES:
+                raise ValidationError(f"{path}: documents are limited to {MAX_DOCUMENT_BYTES} bytes")
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -3,8 +3,8 @@
 Two routes to orders of vanishing live here.  The lattice route reads them
 off the curvette rows QQ^t = -M^-1, Q = P^-1 (row e: orders along component e
 of smooth germs transverse to each component).  The polynomial route pushes a
-germ down the cluster's chart plan (``cluster.plan``) and unfolds the
-multiplicities m of its strict transforms (``cluster.unfold``).  Both read the
+germ down the cluster's chart plan (``cluster.plan``), one ``_chart_step`` per
+point, and unfolds the multiplicities m of its strict transforms.  Both read the
 same m (orders P^-1 m, profile P^t m), so rows . profile = orders for any m:
 their agreement, an acceptance gate, checks the replay's proximity bookkeeping
 and the proximity inequality.  The self-check of ``curvette_polynomial`` and
@@ -21,7 +21,7 @@ from .clusters import BlowupCluster, closure_indices, simulate
 from .dual_graphs import intersection_matrix
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import ExactMatrix
-from .polynomials import Poly2
+from .polynomials import Poly2, _exact_poly
 from .rationals import INF
 
 # The largest deg x(t) + deg y(t) of the pushed-down parametrization of an
@@ -48,29 +48,35 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
 # -- strict transforms along the chart chain ----------------------------------
 
 
-def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
-    """Multiplicity of the strict transform of g at each of ``points``, 0 elsewhere.
+def _chart_step(strict: dict, tangent, m: int) -> tuple[dict, int]:
+    """Terms and multiplicity of the strict transform of a germ (terms ``strict``, multiplicity m)
+    in the chart of ``tangent``.  A nonzero tangent fixes x, so the germ is shifted by x^-m first,
+    a transient Poly2 with negative x-exponents that never escapes, and then substituted."""
+    if min(a + b for a, b in strict) < m:
+        raise InternalInvariantError("total transform is not divisible by the expected exceptional power")
+    if tangent is INF:
+        out = {(a, a + b - m): v for (a, b), v in strict.items()}
+    elif tangent == 0:
+        out = {(a + b - m, b): v for (a, b), v in strict.items()}
+    else:
+        out = _exact_poly({(a - m, b): v for (a, b), v in strict.items()}).subst_free(tangent).terms
+    if not out:
+        raise InternalInvariantError("strict transform of a nonzero germ vanished")
+    return out, min(a + b for a, b in out)
 
-    ``points`` is sorted and closed under proximity.  Each chart step
-    divides by the exceptional power: the multiplicity at the chart parent.
-    """
+
+def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
+    """Multiplicity of the strict transform of g at each of ``points`` (sorted, closed under
+    proximity), 0 elsewhere: one chart step per point, by the multiplicity at its chart parent."""
     if g.is_zero():
         raise ValidationError("the zero polynomial has no orders of vanishing")
-    strict, mult = [g] * cluster.n, [g.multiplicity()] + [0] * (cluster.n - 1)
+    plan, strict, mult = cluster.plan, {0: g.terms}, [g.multiplicity()] + [0] * (cluster.n - 1)
     for i in points[1:]:
-        parent, tangent = cluster.plan[i]
+        parent, tangent = plan[i]
         if tangent is None:
-            raise ValidationError(
-                f"point {i} is free without a tangent parameter; "
-                f"orders of polynomials need explicit coordinates"
-            )
-        if tangent is INF:
-            strict[i] = strict[parent].subst_inf().divide_power(1, mult[parent])
-        else:
-            strict[i] = strict[parent].subst_free(tangent).divide_power(0, mult[parent])
-        if strict[i].is_zero():
-            raise InternalInvariantError("strict transform of a nonzero germ vanished")
-        mult[i] = strict[i].multiplicity()
+            raise ValidationError(f"point {i} is free without a tangent parameter; "
+                                  f"orders of polynomials need explicit coordinates")
+        strict[i], mult[i] = _chart_step(strict[parent], tangent, mult[parent])
     return mult
 
 
@@ -94,8 +100,8 @@ def strict_transform_profile(cluster: BlowupCluster, g: Poly2) -> tuple[int, ...
     """
     m = _multiplicities(cluster, g, range(cluster.n))
     t = list(m)
-    for j in range(cluster.n):
-        for i in cluster.proximities(j):
+    for j, here in enumerate(cluster.prox):
+        for i in here:
             t[i] -= m[j]
     if min(t) < 0:
         raise InternalInvariantError("proximity inequality failed for a polynomial germ")

@@ -734,6 +734,27 @@ def test_unreadable_json_is_an_input_error(command, text, tmp_path, capsys):
     assert err.startswith(f"error: {path} is not a readable JSON document: ") and err.count("\n") == 1
 
 
+def test_an_oversize_document_is_refused_unparsed(tmp_path, capsys, monkeypatch):
+    limit = cli.MAX_DOCUMENT_BYTES
+    head = json.dumps({"schema": "dualgraph/1", "vertices": _VERTICES})[:-1]
+    at_limit = tmp_path / "at_limit.json"
+    at_limit.write_text(head + " " * (limit - len(head) - 1) + "}", encoding="utf-8")
+    assert at_limit.stat().st_size == limit
+    code, _, err = run_cli(capsys, "graph", "check", str(at_limit))
+    assert code == 0 and err == ""
+
+    oversize = tmp_path / "oversize.json"  # about three times the limit, in edges
+    oversize.write_text(head + ', "edges": ' + json.dumps([[1, 2]] * (3 * limit // 8)) + "}", encoding="utf-8")
+    parsed = []
+    monkeypatch.setattr(cli.json, "loads", lambda *args, **kwargs: parsed.append(args))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", "check", str(oversize))
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and parsed == []
+    assert err == f"error: {oversize}: documents are limited to {limit} bytes\n"
+    assert elapsed < 1.0  # it reads limit + 1 bytes of the file and parses none
+
+
 def test_a_deep_verdict_store_line_is_a_corrupt_record(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_STORES", {})
     kb = tmp_path / "kb.jsonl"

@@ -4,6 +4,8 @@ from operator import mul
 
 import pytest
 from helpers import arc_orders, eliminate_parameter, inverse_adjugate, pushed_parametrization
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nasharc import (
     INF,
@@ -294,11 +296,92 @@ def test_integral_tangents_stay_in_integer_arithmetic(monkeypatch):
         return subst_free(poly, c)
 
     monkeypatch.setattr(Poly2, "subst_free", spy)
+    # tangent-0 and INF steps bypass subst_free, so every step's strict transform is seen too
+    stepped = set()
+    chart_step = valuations._chart_step
+
+    def step_spy(strict, tangent, m):
+        out, mult = chart_step(strict, tangent, m)
+        stepped.update(type(v) for v in out.values())
+        return out, mult
+
+    monkeypatch.setattr(valuations, "_chart_step", step_spy)
     for structure in enumerate_proximity_structures(4):
         for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
             for g in sample_family():
                 ord_vector(cluster, g)
     assert seen == {int}
+    assert stepped == {int}
+
+
+def test_the_walk_builds_no_checked_polynomial(monkeypatch):
+    """Every strict transform comes from the chart step's exact arithmetic, so the
+    walk never runs the constructor's coefficient checks."""
+    germs = sample_family() + [parse_poly(text) for text in RATIONAL_GERMS]
+    built = []
+    init = Poly2.__init__
+
+    def spy(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(Poly2, "__init__", spy)
+    walks = 0
+    for structure in enumerate_proximity_structures(4):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            for g in germs:
+                ord_vector(cluster, g)
+                walks += 1
+    assert built == [] and walks > 10_000
+
+
+_STEP_TANGENTS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 10**40 + 1, INF)
+_COEFFICIENTS = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFICIENTS, min_size=1, max_size=6
+).map(Poly2).filter(lambda p: not p.is_zero())
+
+
+def _total_transform(h: Poly2, tangent) -> Poly2:
+    """h(x*y, y) for INF, h(x, x*(y + c)) for a tangent c, by ring arithmetic alone."""
+    x, y = Poly2({(1, 0): 1}), Poly2({(0, 1): 1})
+    X, Y = (x * y, y) if tangent is INF else (x, x * (y + Poly2({(0, 0): tangent})))
+    total = Poly2()
+    for (a, b), coef in h.terms.items():
+        term = Poly2({(0, 0): coef})
+        for factor in [X] * a + [Y] * b:
+            term = term * factor
+        total = total + term
+    return total
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(h=_POLYS, tangent=st.sampled_from(_STEP_TANGENTS), through=st.booleans())
+def test_chart_step_equals_substitution_then_division(h, tangent, through):
+    # a factor through the chart's point makes terms of the free substitution cancel
+    if through:
+        h = h * (Poly2({(1, 0): 1}) if tangent is INF else Poly2({(0, 1): 1, (1, 0): -tangent}))
+    m = h.multiplicity()
+    if tangent is INF:
+        expect = h.subst_inf().divide_power(1, m)
+    else:
+        expect = h.subst_free(tangent).divide_power(0, m)
+    assert expect == _total_transform(h, tangent).divide_power(int(tangent is INF), m)
+    strict, mult = valuations._chart_step(h.terms, tangent, m)
+    assert strict == expect.terms and mult == expect.multiplicity()
+    assert min(min(k) for k in strict) >= 0
+    assert all(type(v) is int or v.denominator != 1 for v in strict.values())
+
+
+def test_chart_step_keeps_its_invariants():
+    cusp = parse_poly("y^2 - x^3")
+    with pytest.raises(InternalInvariantError, match="not divisible"):
+        valuations._chart_step(cusp.terms, 1, 3)
+    # no polynomial's total transform vanishes; a y^-1 term, which no chart map keeps, does
+    with pytest.raises(InternalInvariantError, match="vanished"):
+        valuations._chart_step({(1, -1): 1}, 1, 0)
 
 
 def _curvette_supported(cluster, i):
@@ -362,3 +445,79 @@ def test_the_arc_route_catches_a_sign_slip_in_the_free_chart(monkeypatch):
     profile = strict_transform_profile(cluster, g)
     assert orders == tuple(sum(map(mul, row, profile)) for row in curvette_order_rows(cluster))
     assert orders == (1, 1) and arc_orders(cluster, g) == (1, 2)
+
+
+def _checks_that_catch() -> set[str]:
+    """The named checks that fail on the tangent clusters of <= 3 points: the arc route,
+    additivity on products, and the walk's own invariants (by their messages)."""
+    germs = [parse_poly(text) for text in ("y^2 - x^3", "y - x", "x*y + y^3", "x - y^2")]
+    invariants = {"not divisible": "divisibility", "vanished": "vanishing strict transform",
+                  "proximity inequality": "proximity inequality"}
+    caught = set()
+
+    def run(route, *args):
+        try:
+            return route(*args)
+        except InternalInvariantError as exc:
+            caught.update(name for text, name in invariants.items() if text in str(exc))
+
+    for structure in enumerate_proximity_structures(3):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            orders = {g: run(ord_vector, cluster, g) for g in germs}
+            for g in germs:
+                run(strict_transform_profile, cluster, g)
+                if orders[g] is not None and orders[g] != arc_orders(cluster, g):
+                    caught.add("arc route")
+                for h in germs:
+                    product = run(ord_vector, cluster, g * h)
+                    if None in (orders[g], orders[h], product):
+                        continue
+                    if product != tuple(map(sum, zip(orders[g], orders[h]))):
+                        caught.add("product additivity")
+    return caught
+
+
+def test_the_unmutated_walk_passes_every_check():
+    assert _checks_that_catch() == set()
+
+
+_EVERY_ROUTE = {"arc route", "product additivity", "proximity inequality"}
+
+
+@pytest.mark.parametrize(
+    "chart, shift, caught_by",
+    [
+        ("free", -1, _EVERY_ROUTE),
+        ("free", 1, _EVERY_ROUTE),
+        ("inf", -1, _EVERY_ROUTE),
+        ("inf", 1, _EVERY_ROUTE | {"vanishing strict transform"}),  # a free chart drops y^-1 terms
+    ],
+)
+def test_an_off_by_one_exceptional_shift_is_caught(monkeypatch, chart, shift, caught_by):
+    """The step divides by x^(m + shift) in the free chart, or y^(m + shift) in the INF chart.
+
+    The step checks divisibility on its input, before the shift, so that check never
+    sees it: x * (the strict transform) or its quotient by x is still consistent with
+    the next step.  The arc route, additivity and the proximity inequality see it."""
+    chart_step = valuations._chart_step
+
+    def mutant(strict, tangent, m):
+        out, mult = chart_step(strict, tangent, m)
+        if (tangent is INF) != (chart == "inf"):
+            return out, mult
+        da, db = (0, shift) if tangent is INF else (shift, 0)
+        out = {(a - da, b - db): v for (a, b), v in out.items()}
+        return out, min(a + b for a, b in out)
+
+    monkeypatch.setattr(valuations, "_chart_step", mutant)
+    assert _checks_that_catch() == caught_by
+
+
+def test_a_walk_that_hands_the_step_a_larger_multiplicity_is_refused(monkeypatch):
+    chart_step = valuations._chart_step
+
+    def mutant(strict, tangent, m):
+        return chart_step(strict, tangent, m + 1)
+
+    monkeypatch.setattr(valuations, "_chart_step", mutant)
+    assert _checks_that_catch() == {"divisibility"}
