@@ -16,6 +16,8 @@ The package computes, in exact rational arithmetic throughout:
 A command line front end lives in ``nasharc.cli``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .canonical import CanonicalKey, canonical_key
 from .clusters import (
     BlowupCluster,
@@ -95,77 +97,9 @@ from .valuations import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowupCluster",
-    "CanonicalKey",
-    "ClusterPoint",
-    "Comparison",
-    "ContradictionCertificate",
-    "CurvetteWitness",
-    "DualGraph",
-    "EulerInput",
-    "ExactMatrix",
-    "GraphVertex",
-    "INF",
-    "InternalInvariantError",
-    "InverseSignReport",
-    "KnowledgeBase",
-    "KnowledgeBaseConflict",
-    "KnowledgeBaseError",
-    "LiftingVerdict",
-    "NashArcError",
-    "ObstructionStatus",
-    "ObstructionVerdict",
-    "OrderWitness",
-    "Poly2",
-    "ReturnsSystemResult",
-    "SingularMatrixError",
-    "SolutionWitness",
-    "ValidationError",
-    "WedgeNumericalModel",
-    "adjacency_table",
-    "b0_bound",
-    "balls_bound",
-    "canonical_coeffs",
-    "canonical_key",
-    "check_inverse_nonpositive",
-    "closure_indices",
-    "cluster_fixture",
-    "cluster_fixture_names",
-    "cluster_from_doc",
-    "cluster_matrix",
-    "compare",
-    "contradiction_certificate",
-    "curvette_order_rows",
-    "curvette_polynomial",
-    "enumerate_proximity_structures",
-    "enumerate_tangent_assignments",
-    "final_bound",
-    "fixture_names",
-    "format_rational",
-    "format_tangent",
-    "germ_touch_count",
-    "graph_from_doc",
-    "intersection_from_proximity",
-    "intersection_matrix",
-    "is_negative_definite",
-    "lifting_verdict",
-    "minimal_joint_model",
-    "multiplicities",
-    "ord_poly",
-    "pair_graph",
-    "parse_poly",
-    "parse_rational",
-    "parse_tangent",
-    "proximity_matrix",
-    "refined_valuative_obstruction",
-    "returns_system",
-    "simulate",
-    "solve_b",
-    "standard_fixture",
-    "strict_transform_profile",
-    "tubes_bound",
-    "valuative_obstruction",
-    "validate_graph_doc",
-    "verify_numerical",
-]
+# every public name bound above, so the import block is the one list of them
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -193,12 +193,13 @@ def _write_dot(graph: DualGraph, path: str, fields: dict, lines: list):
 def _cmd_graph_check(args) -> int:
     graph = _load_input(args.input, "graph")
     M = intersection_matrix(graph)
+    connected = graph.is_connected()
     neg_def = is_negative_definite(M)
     det = M.determinant()
     inverse = sign = None
     lines = [
         f"graph: {graph.n} vertices, {len(graph.edges)} edges, "
-        f"{'connected' if graph.is_connected() else 'disconnected'}",
+        f"{'connected' if connected else 'disconnected'}",
         ("intersection matrix M", M),
         f"negative definite: {'yes' if neg_def else 'no'}",
         f"det(M) = {format_rational(det)}",
@@ -217,7 +218,7 @@ def _cmd_graph_check(args) -> int:
         lines.append("matrix is singular; no inverse")
     fields = {
         "graph": graph.to_doc(),
-        "connected": graph.is_connected(),
+        "connected": connected,
         "negative_definite": neg_def,
         "determinant": format_rational(det),
         "inverse_sign": None if sign is None else sign.to_doc(),

@@ -454,6 +454,13 @@ def enumerate_tangent_assignments(
     yield from rec(BlowupCluster(structure.points[:1]))
 
 
+# the named clusters besides chainN, as (parent, satellite_of, tangent) specs
+_NAMED_CLUSTERS = {
+    "twodir": ((None,), (0, None, Fraction(0)), (0, None, Fraction(1))),
+    "satellite3": ((None,), (0, None, Fraction(0)), (1, 0)),
+}
+
+
 def cluster_fixture(name: str) -> BlowupCluster:
     """Small named clusters used by the command line and the walkthroughs."""
     key = name.strip().lower()
@@ -461,30 +468,13 @@ def cluster_fixture(name: str) -> BlowupCluster:
         n = int(key[5:]) if len(key) < 10 else 0  # else past MAX_POINTS, maybe the digit limit
         if not 1 <= n <= MAX_POINTS:
             raise ValidationError(f"chain fixtures exist for 1..{MAX_POINTS} points")
-        pts = [ClusterPoint()] + [
-            ClusterPoint(i, None, Fraction(0)) for i in range(n - 1)
-        ]
-        return BlowupCluster(tuple(pts))
-    if key == "twodir":
-        return BlowupCluster(
-            (
-                ClusterPoint(),
-                ClusterPoint(0, None, Fraction(0)),
-                ClusterPoint(0, None, Fraction(1)),
-            )
+        return BlowupCluster.from_specs([(None,)] + [(i, None, Fraction(0)) for i in range(n - 1)])
+    if key not in _NAMED_CLUSTERS:
+        raise ValidationError(
+            f"unknown cluster fixture {name!r}; expected chainN, twodir or satellite3"
         )
-    if key == "satellite3":
-        return BlowupCluster(
-            (
-                ClusterPoint(),
-                ClusterPoint(0, None, Fraction(0)),
-                ClusterPoint(1, 0),
-            )
-        )
-    raise ValidationError(
-        f"unknown cluster fixture {name!r}; expected chainN, twodir or satellite3"
-    )
+    return BlowupCluster.from_specs(_NAMED_CLUSTERS[key])
 
 
 def cluster_fixture_names() -> tuple[str, ...]:
-    return ("chain1", "chain2", "chain3", "chain4", "chain5", "twodir", "satellite3")
+    return (*(f"chain{n}" for n in range(1, 6)), *_NAMED_CLUSTERS)

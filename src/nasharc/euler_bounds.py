@@ -127,8 +127,11 @@ class ContradictionCertificate:
     """
 
     bound: int
-    contradicts_disk: bool
     minimality_flags: tuple[VertexId, ...]
+
+    @property
+    def contradicts_disk(self) -> bool:
+        return self.bound < 1 and not self.minimality_flags
 
     def to_doc(self) -> dict:
         return {
@@ -142,9 +145,4 @@ def contradiction_certificate(data: EulerInput) -> ContradictionCertificate:
     flags = tuple(
         v.id for v in data.graph.vertices if v.genus == 0 and v.self_int == -1
     )
-    bound = final_bound(data)
-    return ContradictionCertificate(
-        bound=bound,
-        contradicts_disk=(bound < 1) and not flags,
-        minimality_flags=flags,
-    )
+    return ContradictionCertificate(final_bound(data), flags)

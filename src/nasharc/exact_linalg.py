@@ -217,9 +217,12 @@ class InverseSignReport:
     of a connected negative-definite intersection lattice.
     """
 
-    all_nonpositive: bool
     offending_entries: tuple[tuple[int, int, Fraction | int], ...]
     zero_entries: tuple[tuple[int, int], ...]
+
+    @property
+    def all_nonpositive(self) -> bool:
+        return not self.offending_entries
 
     @property
     def strictly_negative(self) -> bool:
@@ -249,8 +252,4 @@ def check_inverse_nonpositive(matrix: ExactMatrix) -> InverseSignReport:
                 offending.append((i, j, _quotient(v, det)))
             elif v == 0:
                 zeros.append((i, j))
-    return InverseSignReport(
-        all_nonpositive=not offending,
-        offending_entries=tuple(offending),
-        zero_entries=tuple(zeros),
-    )
+    return InverseSignReport(tuple(offending), tuple(zeros))

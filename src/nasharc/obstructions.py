@@ -2,17 +2,18 @@
 
 An adjacency is the containment of one arc-space closure in another.  The
 engines here never certify that an adjacency holds; they either find a
-witness that makes it impossible, or abstain.
+witness that makes it impossible, or abstain.  A verdict is its witness:
+``ObstructionVerdict.status`` is derived, RULED_OUT exactly when the
+verdict carries a witness, so no verdict can claim one without the other.
 
 Conventions fixed by this module:
 
 * ``valuative_obstruction(cluster, e, f)`` examines the adjacency
   ``N_f inside N_e``.  A witness is a curvette whose order along component
   f is strictly smaller than along component e; its existence refutes the
-  inequality of valuations the adjacency would force, so the verdict is
-  RULED_OUT.  Absent a witness the verdict is NOT_RULED_OUT, which happens
-  exactly when the comparison of valuations returns LESS_EQ (or the two
-  indices coincide).
+  inequality of valuations the adjacency would force.  Absent a witness
+  the verdict is NOT_RULED_OUT, which happens exactly when the comparison
+  of valuations returns LESS_EQ (or the two indices coincide).
 
 * The linear system for prescribed return counts is solved with right-hand
   side (b_0 - 1, b_1, ..., b_r), where the -1 sits at the component met
@@ -32,7 +33,7 @@ import os
 import threading
 from collections import ChainMap
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canonical import CanonicalKey
@@ -106,18 +107,23 @@ class SolutionWitness:
 
 @dataclass(frozen=True)
 class ObstructionVerdict:
-    status: ObstructionStatus
+    """A verdict is its witness: RULED_OUT exactly when a witness is present.
+
+    ``status`` is set from the witness, never passed in; it is a field only
+    so that the repr shows it."""
+
+    status: ObstructionStatus = field(init=False)
     adjacency: str
     witness: CurvetteWitness | OrderWitness | SolutionWitness | None
     detail: str
 
     def __post_init__(self):
-        if self.status is ObstructionStatus.RULED_OUT and self.witness is None:
-            raise ValidationError("a RULED_OUT verdict must carry a witness")
+        status = ObstructionStatus.RULED_OUT if self.ruled_out else ObstructionStatus.NOT_RULED_OUT
+        object.__setattr__(self, "status", status)  # a frozen dataclass takes no plain assignment
 
     @property
     def ruled_out(self) -> bool:
-        return self.status is ObstructionStatus.RULED_OUT
+        return self.witness is not None
 
     def to_doc(self) -> dict:
         return {
@@ -140,23 +146,20 @@ def valuative_obstruction(cluster: BlowupCluster, e: int, f: int) -> Obstruction
     if e == f:
         raise ValidationError("the two components of an adjacency must differ")
     i = _first_smaller_curvette(cluster, e, f, closure_indices(cluster, e, f))
-    adjacency = f"N_{f} in N_{e}"
-    if i is not None:
-        rows = curvette_order_rows(cluster)
-        return ObstructionVerdict(
-            ObstructionStatus.RULED_OUT,
-            adjacency,
-            CurvetteWitness(i, rows[f][i], rows[e][i]),
-            f"curvette through point {i} has order {rows[f][i]} along "
-            f"component {f} but {rows[e][i]} along component {e}",
+    if i is None:
+        witness = None
+        detail = (
+            f"orders along component {e} are dominated by orders along component {f} "
+            f"on every curvette of the joint model"
         )
-    return ObstructionVerdict(
-        ObstructionStatus.NOT_RULED_OUT,
-        adjacency,
-        None,
-        f"orders along component {e} are dominated by orders along component {f} "
-        f"on every curvette of the joint model",
-    )
+    else:
+        rows = curvette_order_rows(cluster)
+        witness = CurvetteWitness(i, rows[f][i], rows[e][i])
+        detail = (
+            f"curvette through point {i} has order {rows[f][i]} along "
+            f"component {f} but {rows[e][i]} along component {e}"
+        )
+    return ObstructionVerdict(f"N_{f} in N_{e}", witness, detail)
 
 
 def refined_valuative_obstruction(
@@ -171,20 +174,12 @@ def refined_valuative_obstruction(
     """
     orders = _orders(cluster, g, closure_indices(cluster, e, f, f2))
     v_e, v_f, v_f2 = orders[e], orders[f], orders[f2]
-    adjacency = f"N_{e} in N_{f} with a return lifting by {f2}"
     if v_e < v_f + v_f2:
-        return ObstructionVerdict(
-            ObstructionStatus.RULED_OUT,
-            adjacency,
-            OrderWitness(str(g), v_e, v_f, v_f2),
-            f"ord_{e}(g) = {v_e} < {v_f} + {v_f2} = ord_{f}(g) + ord_{f2}(g)",
-        )
-    return ObstructionVerdict(
-        ObstructionStatus.NOT_RULED_OUT,
-        adjacency,
-        None,
-        f"ord_{e}(g) = {v_e} >= {v_f} + {v_f2}",
-    )
+        witness = OrderWitness(str(g), v_e, v_f, v_f2)
+        detail = f"ord_{e}(g) = {v_e} < {v_f} + {v_f2} = ord_{f}(g) + ord_{f2}(g)"
+    else:
+        witness, detail = None, f"ord_{e}(g) = {v_e} >= {v_f} + {v_f2}"
+    return ObstructionVerdict(f"N_{e} in N_{f} with a return lifting by {f2}", witness, detail)
 
 
 @dataclass(frozen=True)
@@ -253,21 +248,12 @@ def returns_system(
             (special_index, "special entry vanishes although the wedge must not lift")
         )
 
-    adjacency = f"wedge with returns {b} through component {special_index}"
-    if offending:
-        verdict = ObstructionVerdict(
-            ObstructionStatus.RULED_OUT,
-            adjacency,
-            SolutionWitness(solution, tuple(offending)),
-            "; ".join(f"component {i}: {why}" for i, why in offending),
-        )
-    else:
-        verdict = ObstructionVerdict(
-            ObstructionStatus.NOT_RULED_OUT,
-            adjacency,
-            None,
-            "solution is a non-negative integer vector with positive special entry",
-        )
+    verdict = ObstructionVerdict(
+        f"wedge with returns {b} through component {special_index}",
+        SolutionWitness(solution, tuple(offending)) if offending else None,
+        "; ".join(f"component {i}: {why}" for i, why in offending)
+        or "solution is a non-negative integer vector with positive special entry",
+    )
     return ReturnsSystemResult(solution, verdict, rhs, printed_rhs, printed_solution)
 
 

@@ -207,8 +207,7 @@ def parse_poly(text: str) -> Poly2:
                     f"polynomial parse error at position {pos}: unexpected {source[pos]!r}"
                 )
             break
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
 
     idx = 0

@@ -102,6 +102,9 @@ def test_proximity_identity_small_exhaustive():
 def test_intersection_from_proximity_rejects_non_triangular():
     with pytest.raises(ValidationError):
         intersection_from_proximity(intersection_matrix(simulate(SATELLITE)))
+    # unit diagonal, but the proximities sit above it
+    with pytest.raises(ValidationError, match="lower unitriangular"):
+        intersection_from_proximity(proximity_matrix(SATELLITE).transpose())
 
 
 def test_last_center_always_on_a_minus_one_vertex():

@@ -54,6 +54,10 @@ def test_invariants_rejected():
         DualGraph.build([(0, -2)], [(0, 1)])  # dangling endpoint
     with pytest.raises(ValidationError):
         DualGraph.build([(0, -2, -1)])  # negative genus
+    with pytest.raises(ValidationError, match="vertex id must be an int or string"):
+        DualGraph.build([(0.0, -2)])
+    with pytest.raises(ValidationError, match="self-intersection of 0 must be an integer"):
+        DualGraph.build([(0, -2.0)])
 
 
 @pytest.mark.parametrize("endpoint", [True, 1.0, [1]])

@@ -34,6 +34,13 @@ def identity(n):
 def test_rejects_non_square():
     with pytest.raises(ValidationError):
         ExactMatrix.from_rows([[1, 2], [3]])
+    # and operands whose size does not match the matrix
+    with pytest.raises(ValidationError, match="dimension mismatch in matrix product"):
+        A2.mul(identity(3))
+    with pytest.raises(ValidationError, match="dimension mismatch in matrix-vector product"):
+        A2.matvec([1, 2, 3])
+    with pytest.raises(ValidationError, match="right-hand side has wrong length"):
+        A2.solve([1])
 
 
 def test_determinant_small_cases():
@@ -126,6 +133,8 @@ def test_singular_raises():
         rational.inverse()
     with pytest.raises(SingularMatrixError):
         rational.solve([1, 0])
+    with pytest.raises(SingularMatrixError):
+        check_inverse_nonpositive(rational)
 
 
 def test_integral_entries_are_ints():

@@ -1,0 +1,226 @@
+"""Semantic mutations of the live package, each with the fast check that catches it.
+
+A row applies one mutation with ``monkeypatch`` and asserts exactly which named
+checks fail on small inputs; the unmutated package fails none.  The checks are
+independent routes.  For the chart walk: orders along Nash's generic arcs,
+additivity on products and the walk's own invariants.  For the facts the reports
+derive (a verdict's status from its witness, a sign report's and a certificate's
+flags from their entries): a minimal-joint-model inversion, an adjugate inverse
+and the closed-form Euler bound.  A mutation that survives stays in the table,
+either argued equivalent or with a new check.
+"""
+
+import inspect
+import itertools
+from fractions import Fraction
+
+import pytest
+from helpers import arc_orders, inverse_adjugate, obstruction_joint_model
+
+from nasharc import (
+    INF,
+    ContradictionCertificate,
+    DualGraph,
+    EulerInput,
+    ExactMatrix,
+    InternalInvariantError,
+    InverseSignReport,
+    ObstructionStatus,
+    ObstructionVerdict,
+    enumerate_proximity_structures,
+    enumerate_tangent_assignments,
+    intersection_matrix,
+    parse_poly,
+    standard_fixture,
+    strict_transform_profile,
+)
+from nasharc import euler_bounds, exact_linalg, obstructions, valuations
+from nasharc.valuations import ord_vector
+
+TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
+
+
+# -- the chart walk -------------------------------------------------------------
+
+
+def _checks_that_catch() -> set[str]:
+    """The named checks that fail on the tangent clusters of <= 3 points: the arc route,
+    additivity on products, and the walk's own invariants (by their messages)."""
+    germs = [parse_poly(text) for text in ("y^2 - x^3", "y - x", "x*y + y^3", "x - y^2")]
+    invariants = {"not divisible": "divisibility", "vanished": "vanishing strict transform",
+                  "proximity inequality": "proximity inequality"}
+    caught = set()
+
+    def run(route, *args):
+        try:
+            return route(*args)
+        except InternalInvariantError as exc:
+            caught.update(name for text, name in invariants.items() if text in str(exc))
+
+    for structure in enumerate_proximity_structures(3):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            orders = {g: run(ord_vector, cluster, g) for g in germs}
+            for g in germs:
+                run(strict_transform_profile, cluster, g)
+                if orders[g] is not None and orders[g] != arc_orders(cluster, g):
+                    caught.add("arc route")
+                for h in germs:
+                    product = run(ord_vector, cluster, g * h)
+                    if None in (orders[g], orders[h], product):
+                        continue
+                    if product != tuple(map(sum, zip(orders[g], orders[h]))):
+                        caught.add("product additivity")
+    return caught
+
+
+def test_the_unmutated_walk_passes_every_check():
+    assert _checks_that_catch() == set()
+
+
+_EVERY_ROUTE = {"arc route", "product additivity", "proximity inequality"}
+
+
+@pytest.mark.parametrize(
+    "chart, shift, caught_by",
+    [
+        ("free", -1, _EVERY_ROUTE),
+        ("free", 1, _EVERY_ROUTE),
+        ("inf", -1, _EVERY_ROUTE),
+        ("inf", 1, _EVERY_ROUTE | {"vanishing strict transform"}),  # a free chart drops y^-1 terms
+    ],
+)
+def test_an_off_by_one_exceptional_shift_is_caught(monkeypatch, chart, shift, caught_by):
+    """The step divides by x^(m + shift) in the free chart, or y^(m + shift) in the INF chart.
+
+    The step checks divisibility on its input, before the shift, so that check never
+    sees it: x * (the strict transform) or its quotient by x is still consistent with
+    the next step.  The arc route, additivity and the proximity inequality see it."""
+    chart_step = valuations._chart_step
+
+    def mutant(strict, tangent, m):
+        out, mult = chart_step(strict, tangent, m)
+        if (tangent is INF) != (chart == "inf"):
+            return out, mult
+        da, db = (0, shift) if tangent is INF else (shift, 0)
+        out = {(a - da, b - db): v for (a, b), v in out.items()}
+        return out, min(a + b for a, b in out)
+
+    monkeypatch.setattr(valuations, "_chart_step", mutant)
+    assert _checks_that_catch() == caught_by
+
+
+def test_a_walk_that_hands_the_step_a_larger_multiplicity_is_refused(monkeypatch):
+    chart_step = valuations._chart_step
+
+    def mutant(strict, tangent, m):
+        return chart_step(strict, tangent, m + 1)
+
+    monkeypatch.setattr(valuations, "_chart_step", mutant)
+    assert _checks_that_catch() == {"divisibility"}
+
+
+# -- facts derived from other facts ---------------------------------------------
+
+
+def _mutated(module, name: str, old: str, new: str):
+    """``module.name`` compiled from its source with the one ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+_SIGN_MATRICES = [
+    *(intersection_matrix(standard_fixture(name)) for name in ("A1", "A3", "D4", "E6")),
+    ExactMatrix.from_rows([[-2, 0], [0, -2]]),  # zero entries off the diagonal
+    ExactMatrix.from_rows([[1, 2], [2, 1]]),  # positive and negative entries
+]
+_CERTIFICATE_INPUTS = [
+    EulerInput(standard_fixture("A1"), (1,), 0),
+    EulerInput(standard_fixture("E8"), (1,) + (0,) * 7, 0),
+    EulerInput(DualGraph.build([(0, -1), (1, -3)], [(0, 1)]), (1, 1), 0),  # a (-1)-curve
+    EulerInput(DualGraph.build([(0, -1), (1, -4)], [(0, 1)]), (1, 2), 0),
+    EulerInput(DualGraph.build([(0, -1, 1)]), (1,), 0),  # genus one: no flag
+]
+
+
+def _fact_checks_that_catch() -> set[str]:
+    """The named checks that fail: verdicts of the tangent-free clusters of <= 4 points
+    against one inversion of each minimal joint model, returns verdicts on A1..D4 and
+    inverse sign reports against the adjugate inverse, and disk certificates against
+    the closed-form bound and the (-1)-curves of the graph."""
+    caught = set()
+    for cluster in enumerate_proximity_structures(4):
+        for e, f in itertools.product(range(cluster.n), repeat=2):
+            if e != f:
+                verdict = obstructions.valuative_obstruction(cluster, e, f)
+                if (verdict.status, verdict.witness) != obstruction_joint_model(cluster, e, f):
+                    caught.add("verdict oracle")
+
+    for name in ("A1", "A2", "A3", "D4"):
+        M = intersection_matrix(standard_fixture(name))
+        inverse = inverse_adjugate(M)
+        choices = itertools.product(itertools.product((0, 1, 2), repeat=M.n), range(M.n), (True, False))
+        for b, special, no_lift in choices:
+            rhs = [v - (i == special) for i, v in enumerate(b)]
+            a = [sum(x * y for x, y in zip(row, rhs)) for row in inverse]
+            bad = any(v < 0 or v.denominator != 1 for v in a) or (no_lift and a[special] == 0)
+            verdict = obstructions.returns_system(M, b, special, no_lift).verdict
+            if verdict.status is not (ObstructionStatus.RULED_OUT if bad else ObstructionStatus.NOT_RULED_OUT):
+                caught.add("returns oracle")
+
+    for M in _SIGN_MATRICES:
+        entries = [v for row in inverse_adjugate(M) for v in row]
+        report = exact_linalg.check_inverse_nonpositive(M)
+        expected = (all(v <= 0 for v in entries), all(v < 0 for v in entries))
+        if (report.all_nonpositive, report.strictly_negative) != expected:
+            caught.add("inverse sign oracle")
+
+    for data in _CERTIFICATE_INPUTS:
+        vertices = data.graph.vertices
+        bound = sum(a * (2 - 2 * v.genus + v.self_int) for a, v in zip(data.coeffs, vertices))
+        minus_one = any(v.genus == 0 and v.self_int == -1 for v in vertices)
+        if euler_bounds.contradiction_certificate(data).contradicts_disk != (bound < 1 and not minus_one):
+            caught.add("certificate oracle")
+    return caught
+
+
+def test_the_unmutated_facts_pass_every_check():
+    assert _fact_checks_that_catch() == set()
+
+
+def _status_ignoring_the_witness(monkeypatch):
+    def post_init(self):
+        object.__setattr__(self, "status", ObstructionStatus.NOT_RULED_OUT)
+
+    monkeypatch.setattr(ObstructionVerdict, "__post_init__", post_init)
+
+
+def _returns_accepting_a_non_integral_entry(monkeypatch):
+    mutant = _mutated(obstructions, "returns_system", "value.denominator != 1", "False")
+    monkeypatch.setattr(obstructions, "returns_system", mutant)
+
+
+def _all_nonpositive_inverted(monkeypatch):
+    monkeypatch.setattr(
+        InverseSignReport, "all_nonpositive", property(lambda self: bool(self.offending_entries))
+    )
+
+
+def _contradicts_disk_without_minimality(monkeypatch):
+    monkeypatch.setattr(ContradictionCertificate, "contradicts_disk", property(lambda self: self.bound < 1))
+
+
+@pytest.mark.parametrize(
+    "mutate, caught_by",
+    [
+        pytest.param(_status_ignoring_the_witness, {"verdict oracle", "returns oracle"}, id="status"),
+        pytest.param(_returns_accepting_a_non_integral_entry, {"returns oracle"}, id="returns"),
+        pytest.param(_all_nonpositive_inverted, {"inverse sign oracle"}, id="sign"),
+        pytest.param(_contradicts_disk_without_minimality, {"certificate oracle"}, id="disk"),
+    ],
+)
+def test_a_mutated_derived_fact_is_caught(monkeypatch, mutate, caught_by):
+    mutate(monkeypatch)
+    assert _fact_checks_that_catch() == caught_by

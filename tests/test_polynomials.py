@@ -14,8 +14,9 @@ def test_parse_simple_terms():
     assert parse_poly("y - x^2") == parse_poly("0 - x^2 + y")
     assert parse_poly("x*x*y").terms == {(2, 1): Fraction(1)}
     assert parse_poly("5").terms == {(0, 0): Fraction(5)}
-    # unicode minus is accepted
+    # unicode minus is accepted, and so is trailing whitespace
     assert parse_poly("y − x") == parse_poly("y - x")
+    assert parse_poly("y - x^2 ") == parse_poly("y - x^2")
 
 
 def test_a_germ_text_builds_one_polynomial(monkeypatch):
@@ -40,6 +41,9 @@ def test_parse_errors():
     for bad in ("", "x +", "x^", "2/0", "x**y", "z", "1/ x", "x^y"):
         with pytest.raises(ValidationError):
             parse_poly(bad)
+    for blank in ("", " "):
+        with pytest.raises(ValidationError, match="^empty polynomial text$"):
+            parse_poly(blank)
 
 
 def test_end_of_input_is_named_as_such():

@@ -6,13 +6,15 @@ float (every answer rests on exact signs and integrality), and raises
 strips.  A value keeps what it derives in a ``functools.cached_property``,
 never in a hand-written ``__dict__`` memo.  Only ``rationals`` decides what an
 exact integer is (an ``int`` but not a ``bool``): no other module tests for
-``int`` with ``isinstance``.  Every public name has a user outside the tests.
+``int`` with ``isinstance``.  Every public name has a user outside the tests, and
+the public names are exactly those the package's import block binds.
 """
 
 import ast
 import re
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import nasharc
 
@@ -91,3 +93,17 @@ def test_every_public_name_is_used_outside_the_tests():
     users = [*SOURCES, *(ROOT / "demos").glob("*.py"), ROOT / "README.md", *(ROOT / "perfbench").rglob("*.py")]
     read = set().union(*(_names_read(path) for path in users if path.name != "__init__.py"))
     assert sorted(set(nasharc.__all__) - read) == []
+
+
+def test_the_public_names_are_the_import_block():
+    """``__all__`` is computed from the names ``nasharc/__init__.py`` imports: sorted,
+    without repeats, with no module and no private name, each defined in the package (a
+    helper such as ``types.ModuleType`` is imported under a private alias), and
+    ``import *`` binds exactly it."""
+    names = nasharc.__all__
+    assert names == sorted(set(names))
+    assert [n for n in names if n.startswith("_") or isinstance(getattr(nasharc, n), ModuleType)] == []
+    assert [n for n in names if not getattr(nasharc, n).__module__.startswith("nasharc.")] == []
+    star = {}
+    exec("from nasharc import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == names

@@ -445,79 +445,3 @@ def test_the_arc_route_catches_a_sign_slip_in_the_free_chart(monkeypatch):
     profile = strict_transform_profile(cluster, g)
     assert orders == tuple(sum(map(mul, row, profile)) for row in curvette_order_rows(cluster))
     assert orders == (1, 1) and arc_orders(cluster, g) == (1, 2)
-
-
-def _checks_that_catch() -> set[str]:
-    """The named checks that fail on the tangent clusters of <= 3 points: the arc route,
-    additivity on products, and the walk's own invariants (by their messages)."""
-    germs = [parse_poly(text) for text in ("y^2 - x^3", "y - x", "x*y + y^3", "x - y^2")]
-    invariants = {"not divisible": "divisibility", "vanished": "vanishing strict transform",
-                  "proximity inequality": "proximity inequality"}
-    caught = set()
-
-    def run(route, *args):
-        try:
-            return route(*args)
-        except InternalInvariantError as exc:
-            caught.update(name for text, name in invariants.items() if text in str(exc))
-
-    for structure in enumerate_proximity_structures(3):
-        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
-            orders = {g: run(ord_vector, cluster, g) for g in germs}
-            for g in germs:
-                run(strict_transform_profile, cluster, g)
-                if orders[g] is not None and orders[g] != arc_orders(cluster, g):
-                    caught.add("arc route")
-                for h in germs:
-                    product = run(ord_vector, cluster, g * h)
-                    if None in (orders[g], orders[h], product):
-                        continue
-                    if product != tuple(map(sum, zip(orders[g], orders[h]))):
-                        caught.add("product additivity")
-    return caught
-
-
-def test_the_unmutated_walk_passes_every_check():
-    assert _checks_that_catch() == set()
-
-
-_EVERY_ROUTE = {"arc route", "product additivity", "proximity inequality"}
-
-
-@pytest.mark.parametrize(
-    "chart, shift, caught_by",
-    [
-        ("free", -1, _EVERY_ROUTE),
-        ("free", 1, _EVERY_ROUTE),
-        ("inf", -1, _EVERY_ROUTE),
-        ("inf", 1, _EVERY_ROUTE | {"vanishing strict transform"}),  # a free chart drops y^-1 terms
-    ],
-)
-def test_an_off_by_one_exceptional_shift_is_caught(monkeypatch, chart, shift, caught_by):
-    """The step divides by x^(m + shift) in the free chart, or y^(m + shift) in the INF chart.
-
-    The step checks divisibility on its input, before the shift, so that check never
-    sees it: x * (the strict transform) or its quotient by x is still consistent with
-    the next step.  The arc route, additivity and the proximity inequality see it."""
-    chart_step = valuations._chart_step
-
-    def mutant(strict, tangent, m):
-        out, mult = chart_step(strict, tangent, m)
-        if (tangent is INF) != (chart == "inf"):
-            return out, mult
-        da, db = (0, shift) if tangent is INF else (shift, 0)
-        out = {(a - da, b - db): v for (a, b), v in out.items()}
-        return out, min(a + b for a, b in out)
-
-    monkeypatch.setattr(valuations, "_chart_step", mutant)
-    assert _checks_that_catch() == caught_by
-
-
-def test_a_walk_that_hands_the_step_a_larger_multiplicity_is_refused(monkeypatch):
-    chart_step = valuations._chart_step
-
-    def mutant(strict, tangent, m):
-        return chart_step(strict, tangent, m + 1)
-
-    monkeypatch.setattr(valuations, "_chart_step", mutant)
-    assert _checks_that_catch() == {"divisibility"}
