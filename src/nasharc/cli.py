@@ -63,6 +63,7 @@ from .valuations import compare, curvette_order_rows, ord_poly
 
 REPORT_SCHEMA = "report/1"
 MAX_DOCUMENT_BYTES = 4 * 1024 * 1024  # a longer input document is refused unparsed (README)
+_READ_CHUNK = 64 * 1024  # documents are read in chunks, so a small one needs no limit-sized buffer
 
 # resolved path -> the verdict store kept for the process; each request then
 # parses only the records appended since the last (see KnowledgeBase)
@@ -72,8 +73,11 @@ _STORES: dict[str, KnowledgeBase] = {}
 def _read_json(path: str) -> dict:
     try:
         with open(path, "rb") as handle:
-            if len(data := handle.read(MAX_DOCUMENT_BYTES + 1)) > MAX_DOCUMENT_BYTES:
-                raise ValidationError(f"{path}: documents are limited to {MAX_DOCUMENT_BYTES} bytes")
+            data = bytearray()
+            while len(data) <= MAX_DOCUMENT_BYTES and (chunk := handle.read(_READ_CHUNK)):
+                data += chunk
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise ValidationError(f"{path}: documents are limited to {MAX_DOCUMENT_BYTES} bytes")
         return json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc

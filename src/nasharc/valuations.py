@@ -4,10 +4,11 @@ Two routes to orders of vanishing live here.  The lattice route reads them
 off the curvette rows QQ^t = -M^-1, Q = P^-1 (row e: orders along component e
 of smooth germs transverse to each component).  The polynomial route pushes a
 germ down the cluster's chart plan (``cluster.plan``), one ``_chart_step`` per
-point, and unfolds the multiplicities m of its strict transforms.  Both read the
-same m (orders P^-1 m, profile P^t m), so rows . profile = orders for any m:
-their agreement, an acceptance gate, checks the replay's proximity bookkeeping
-and the proximity inequality.  The self-check of ``curvette_polynomial`` and
+point on its strict transforms (``_on_tangent_cone``), and unfolds their
+multiplicities m, 0 at every other point.  Both read the same m (orders P^-1 m,
+profile P^t m), so rows . profile = orders for any m: their agreement, an
+acceptance gate, checks the replay's proximity bookkeeping and the proximity
+inequality.  The self-check of ``curvette_polynomial`` and
 the tests' Sylvester and sympy oracles check the chart arithmetic.
 """
 
@@ -65,9 +66,20 @@ def _chart_step(strict: dict, tangent, m: int) -> tuple[dict, int]:
     return out, min(a + b for a, b in out)
 
 
+def _on_tangent_cone(strict: dict, tangent, m: int) -> bool:
+    """Whether the strict transform (terms ``strict``, multiplicity m) passes through the point of
+    ``tangent`` on the exceptional divisor: its degree-m initial form vanishes in that direction."""
+    if tangent is INF:
+        return (0, m) not in strict
+    if tangent == 0:
+        return (m, 0) not in strict
+    return sum(v * tangent**b for (a, b), v in strict.items() if a + b == m) == 0
+
+
 def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """Multiplicity of the strict transform of g at each of ``points`` (sorted, closed under
-    proximity), 0 elsewhere: one chart step per point, by the multiplicity at its chart parent."""
+    proximity), 0 elsewhere: one chart step per point on the strict transform, by the multiplicity
+    at its chart parent.  Off it the multiplicity is 0, and so at every point beyond."""
     if g.is_zero():
         raise ValidationError("the zero polynomial has no orders of vanishing")
     plan, strict, mult = cluster.plan, {0: g.terms}, [g.multiplicity()] + [0] * (cluster.n - 1)
@@ -76,7 +88,8 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
         if tangent is None:
             raise ValidationError(f"point {i} is free without a tangent parameter; "
                                   f"orders of polynomials need explicit coordinates")
-        strict[i], mult[i] = _chart_step(strict[parent], tangent, mult[parent])
+        if mult[parent] and _on_tangent_cone(strict[parent], tangent, mult[parent]):
+            strict[i], mult[i] = _chart_step(strict[parent], tangent, mult[parent])
     return mult
 
 

@@ -6,9 +6,10 @@ Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
 rows, and a Sylvester resultant of a pushed-down parametrization instead
 of pushing a curvette's equation down the charts, orders along Nash's
-generic arcs instead of the chart walk, and a canonical form by full
-backtracking over every ordering of every ambiguous color class instead of
-the library's automorphism-pruned search.  `count_eliminations`
+generic arcs instead of the chart walk, a chart step at every point of a
+cluster instead of only at the points on a germ's strict transforms, and a
+canonical form by full backtracking over every ordering of every ambiguous
+color class instead of the library's automorphism-pruned search.  `count_eliminations`
 is a spy on the elimination kernel.
 """
 
@@ -33,6 +34,7 @@ from nasharc import (
     cluster_matrix,
     minimal_joint_model,
 )
+from nasharc import valuations
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -297,6 +299,21 @@ def arc_orders(cluster, g: Poly2) -> tuple[int, ...]:
             value = value + Poly2({(0, 0): coef}) * xs[a] * ys[b]
         orders.append(min(a for a, _ in value.terms))
     return tuple(orders)
+
+
+def every_point_walk(cluster, g: Poly2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orders and strict-transform profile of g by a chart step at every point of
+    the cluster, on the germ's strict transforms or off them: the walk without its
+    tangent-cone test.  Off the strict transform a step returns multiplicity 0."""
+    strict, mult = {0: g.terms}, [g.multiplicity()]
+    for i, (parent, tangent) in enumerate(cluster.plan[1:], 1):
+        strict[i], m = valuations._chart_step(strict[parent], tangent, mult[parent])
+        mult.append(m)
+    profile = list(mult)
+    for j, here in enumerate(cluster.prox):
+        for i in here:
+            profile[i] -= mult[j]
+    return tuple(cluster.unfold(mult)), tuple(profile)
 
 
 def eliminate_parameter(x_t: Poly2, y_t: Poly2) -> Poly2:

@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -753,6 +754,18 @@ def test_an_oversize_document_is_refused_unparsed(tmp_path, capsys, monkeypatch)
     assert code == 2 and out == "" and parsed == []
     assert err == f"error: {oversize}: documents are limited to {limit} bytes\n"
     assert elapsed < 1.0  # it reads limit + 1 bytes of the file and parses none
+
+
+def test_a_small_document_is_read_without_a_limit_sized_buffer(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"schema": "dualgraph/1", "vertices": _VERTICES}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        cli._read_json(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cli.MAX_DOCUMENT_BYTES // 16  # 256 KiB; a read of the whole limit peaks at 4 MiB
 
 
 def test_a_deep_verdict_store_line_is_a_corrupt_record(tmp_path, capsys, monkeypatch):

@@ -77,16 +77,17 @@ def test_the_unmutated_walk_passes_every_check():
     assert _checks_that_catch() == set()
 
 
-_EVERY_ROUTE = {"arc route", "product additivity", "proximity inequality"}
+_ORDER_ROUTES = {"arc route", "product additivity"}
+_EVERY_ROUTE = _ORDER_ROUTES | {"proximity inequality"}
 
 
 @pytest.mark.parametrize(
     "chart, shift, caught_by",
     [
         ("free", -1, _EVERY_ROUTE),
-        ("free", 1, _EVERY_ROUTE),
+        ("free", 1, _ORDER_ROUTES),
         ("inf", -1, _EVERY_ROUTE),
-        ("inf", 1, _EVERY_ROUTE | {"vanishing strict transform"}),  # a free chart drops y^-1 terms
+        ("inf", 1, _ORDER_ROUTES),
     ],
 )
 def test_an_off_by_one_exceptional_shift_is_caught(monkeypatch, chart, shift, caught_by):
@@ -94,7 +95,10 @@ def test_an_off_by_one_exceptional_shift_is_caught(monkeypatch, chart, shift, ca
 
     The step checks divisibility on its input, before the shift, so that check never
     sees it: x * (the strict transform) or its quotient by x is still consistent with
-    the next step.  The arc route, additivity and the proximity inequality see it."""
+    the next step.  The arc route and additivity see every shift, the proximity
+    inequality the m - 1 shifts.  An m + 1 shift broke the inequality (and, in the INF
+    chart, the vanishing check) only through a multiplicity of -1 at a point off the
+    strict transform, where the walk no longer steps."""
     chart_step = valuations._chart_step
 
     def mutant(strict, tangent, m):
@@ -117,6 +121,27 @@ def test_a_walk_that_hands_the_step_a_larger_multiplicity_is_refused(monkeypatch
 
     monkeypatch.setattr(valuations, "_chart_step", mutant)
     assert _checks_that_catch() == {"divisibility"}
+
+
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [
+        pytest.param(lambda cone, s, t, m: cone(s, t if t is INF else -t, m), _ORDER_ROUTES, id="at -c"),
+        pytest.param(lambda cone, s, t, m: cone(s, 0 if t is INF else INF if t == 0 else t, m),
+                     _ORDER_ROUTES, id="0 and INF swapped"),
+        pytest.param(lambda cone, s, t, m: cone(s, t, m + 1), _ORDER_ROUTES, id="degree m + 1"),
+        pytest.param(lambda cone, s, t, m: False, {"arc route"}, id="never on the cone"),
+        # equivalent: a step at a point off the strict transform returns multiplicity 0
+        # (test_valuations' property test of the cone test), and every point beyond is
+        # skipped for it, so the walk reads the same multiplicities with more steps
+        pytest.param(lambda cone, s, t, m: True, set(), id="always on the cone"),
+    ],
+)
+def test_a_mutated_tangent_cone_test_is_caught(monkeypatch, mutant, caught_by):
+    """The walk steps only to points where the parent's strict transform meets the divisor."""
+    cone = valuations._on_tangent_cone
+    monkeypatch.setattr(valuations, "_on_tangent_cone", lambda s, t, m: mutant(cone, s, t, m))
+    assert _checks_that_catch() == caught_by
 
 
 # -- facts derived from other facts ---------------------------------------------

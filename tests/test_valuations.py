@@ -3,7 +3,13 @@ from itertools import combinations_with_replacement, count, product
 from operator import mul
 
 import pytest
-from helpers import arc_orders, eliminate_parameter, inverse_adjugate, pushed_parametrization
+from helpers import (
+    arc_orders,
+    eliminate_parameter,
+    every_point_walk,
+    inverse_adjugate,
+    pushed_parametrization,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -373,6 +379,39 @@ def test_chart_step_equals_substitution_then_division(h, tangent, through):
     assert strict == expect.terms and mult == expect.multiplicity()
     assert min(min(k) for k in strict) >= 0
     assert all(type(v) is int or v.denominator != 1 for v in strict.values())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(h=_POLYS, tangent=st.sampled_from(_STEP_TANGENTS), through=st.booleans())
+def test_the_tangent_cone_holds_the_points_on_the_strict_transform(h, tangent, through):
+    if through:
+        h = h * (Poly2({(1, 0): 1}) if tangent is INF else Poly2({(0, 1): 1, (1, 0): -tangent}))
+    m = h.multiplicity()
+    _, mult = valuations._chart_step(h.terms, tangent, m)
+    assert valuations._on_tangent_cone(h.terms, tangent, m) == (mult > 0)
+
+
+def test_the_walk_steps_only_on_the_strict_transform(monkeypatch):
+    """The tangent clusters of <= 4 points hold 900 points past their origins, so a step at
+    every point takes 53,100 steps over the sample family; the walk takes 10,754 for the
+    same orders and profiles."""
+    germs = sample_family()
+    clusters = [cluster for structure in enumerate_proximity_structures(4)
+                for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL)]
+    assert sum(cluster.n - 1 for cluster in clusters) * len(germs) == 53_100
+    expected = [every_point_walk(cluster, g) for cluster in clusters for g in germs]
+    steps = []
+    chart_step = valuations._chart_step
+
+    def spy(strict, tangent, m):
+        steps.append(tangent)
+        return chart_step(strict, tangent, m)
+
+    monkeypatch.setattr(valuations, "_chart_step", spy)
+    orders = [ord_vector(cluster, g) for cluster in clusters for g in germs]
+    assert len(steps) == 10_754
+    profiles = [strict_transform_profile(cluster, g) for cluster in clusters for g in germs]
+    assert list(zip(orders, profiles)) == expected
 
 
 def test_chart_step_keeps_its_invariants():
