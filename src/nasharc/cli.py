@@ -138,11 +138,13 @@ def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
         raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}") from exc
 
 
-def _parse_vertex_id(text: str):
+def _parse_vertex_id(text: str, ids):
+    """The int ``text`` spells when that names a vertex or the text does not, else the text."""
     try:
-        return int(text)
+        number = int(text)
     except ValueError:
         return text
+    return number if number in ids or text not in ids else text
 
 
 def _lattice(M: ExactMatrix, inverse: ExactMatrix | None) -> list[tuple[str, ExactMatrix]]:
@@ -332,7 +334,7 @@ def _cmd_adj_table(args) -> int:
 def _cmd_euler_bound(args) -> int:
     graph = _load_input(args.input, "graph")
     coeffs = _parse_int_csv(args.coeffs, "coeffs")
-    data = EulerInput(graph, coeffs, _parse_vertex_id(args.attach))
+    data = EulerInput(graph, coeffs, _parse_vertex_id(args.attach, graph.ids))
     cert = contradiction_certificate(data)
     parts = {
         "b0": b0_bound(data),

@@ -41,26 +41,22 @@ class ClusterPoint:
     tangent: Tangent | None = None
 
 
-# directions on a component taken by the components crossing it, by chart kind
-_CROSSING_SLOPES = {
-    "root": (),
-    "free": (INF,),
-    "free_inf": (Fraction(0),),
-    "sat_x": (Fraction(0), INF),
-    "sat_y": (Fraction(0), INF),
-}
+def _direction(kinds, prox, hi: int, lo: int) -> Tangent:
+    """The direction on component ``hi`` of a component ``lo`` through hi's center.
+
+    The chart of tangent c, (x, y) -> (x, x*(y + c)), has the chart parent (the latest
+    component through the center) at x = 0, met by the next component at INF; the INF
+    chart, (x, y) -> (x*y, y), at y = 0, met at 0.  A satellite's other component is
+    the other axis, so it sits at the other direction."""
+    return INF if (kinds[hi] in ("free_inf", "sat_x")) != (lo == max(prox[hi])) else Fraction(0)
 
 
-def _forbidden_slopes(kinds, points, component: int) -> set:
+def _forbidden_slopes(kinds, prox, points, component: int) -> set:
     """Directions on a component unavailable to a new free point among ``points``:
-    those of the crossing components and the tangents of its free children."""
-    taken = set(_CROSSING_SLOPES[kinds[component]])
-    taken.update(
-        p.tangent
-        for p in points
-        if p.parent == component and p.satellite_of is None and p.tangent is not None
-    )
-    return taken
+    those of the components through its center and the tangents of its free children."""
+    siblings = (p for p in points if p.parent == component and p.satellite_of is None)
+    taken = {_direction(kinds, prox, component, s) for s in prox[component]}
+    return taken | {p.tangent for p in siblings if p.tangent is not None}
 
 
 @dataclass(frozen=True)
@@ -71,10 +67,10 @@ class BlowupCluster:
     (``prox``), the chart kind used to reach it (``kinds``) and the final
     self-intersection of its component (``self_ints``); for the model, the
     intersections that survive every blow-up (``edges``, sorted pairs).
-    During the replay each component through a center occupies one local
-    coordinate axis of the chart there; the axis letters fix the chart kind
-    of a later satellite, and the chart kinds fix the directions a free
-    point must avoid and the chart of every point (``plan``).  The
+    One rule (``_direction``) reads off the chart kinds the direction on a
+    component of each component through its center; it fixes the chart kind
+    of a later satellite and the directions a free point must avoid.  The
+    chart kinds fix the chart of every point (``plan``), and the
     proximities unfold P^-1 (``unfold``) into the ``curvette_rows``.
     """
 
@@ -86,7 +82,6 @@ class BlowupCluster:
         prox: list[tuple[int, ...]] = []
         kinds: list[str] = []
         self_ints: list[int] = []
-        axes: list[dict[int, str]] = []
         alive: set[tuple[int, int]] = set()
         for i, point in enumerate(self.points):
             parent = point.parent
@@ -97,7 +92,7 @@ class BlowupCluster:
                     raise ValidationError("point 0 is the origin and has no parent")
                 if point.tangent is not None:
                     raise ValidationError("point 0 carries no tangent parameter")
-                here, kind, chart = (), "root", {}
+                here, kind = (), "root"
             elif not is_exact_int(parent):
                 raise ValidationError(f"points[{i}].parent: expected an index below {i}")
             elif not 0 <= parent < i:
@@ -107,14 +102,13 @@ class BlowupCluster:
                 if tangent is not None:
                     if not (tangent is INF or isinstance(tangent, Fraction) or is_exact_int(tangent)):
                         raise ValidationError(f"points[{i}].tangent: expected a rational or inf")
-                    if tangent in _forbidden_slopes(kinds, self.points[:i], parent):
+                    if tangent in _forbidden_slopes(kinds, prox, self.points[:i], parent):
                         raise ValidationError(
                             f"points[{i}].tangent: direction {format_tangent(tangent)} on component "
                             f"{parent} is already occupied by another component or sibling"
                         )
                 here = _SINGLES[parent]
                 kind = "free_inf" if tangent is INF else "free"
-                chart = {parent: "y" if kind == "free_inf" else "x"}
             else:
                 other = point.satellite_of
                 if not is_exact_int(other) or not 0 <= other < i:
@@ -130,10 +124,7 @@ class BlowupCluster:
                         f"in the model before this blow-up"
                     )
                 lo, hi = here
-                letter = axes[hi][lo]
-                kind = "sat_x" if letter == "x" else "sat_y"
-                # chart B keeps the old component on the x-axis; chart A on the y-axis
-                chart = {hi: "y", lo: "x"} if letter == "x" else {hi: "x", lo: "y"}
+                kind = "sat_x" if _direction(kinds, prox, hi, lo) is INF else "sat_y"
 
             for s in here:
                 self_ints[s] -= 1
@@ -141,7 +132,6 @@ class BlowupCluster:
             alive.discard(here)  # a satellite center separates its two components
             prox.append(here)
             kinds.append(kind)
-            axes.append(chart)
             self_ints.append(-1)
         results = {"prox": prox, "kinds": kinds, "self_ints": self_ints, "edges": sorted(alive)}
         for name, value in results.items():  # a frozen dataclass takes no plain assignment
@@ -168,7 +158,7 @@ class BlowupCluster:
 
     def forbidden_slopes(self, component: int) -> set:
         """Directions on a component unavailable to a new free point."""
-        return _forbidden_slopes(self.kinds, self.points, component)
+        return _forbidden_slopes(self.kinds, self.prox, self.points, component)
 
     def unfold(self, values) -> list[int]:
         """P^-1 values, by forward substitution over the proximity lists:
@@ -350,16 +340,14 @@ def _check_index(cluster: BlowupCluster, i: int):
 
 
 def closure_indices(cluster: BlowupCluster, *seeds: int) -> tuple[int, ...]:
-    """All ancestors of the seeds under the proximity relation, seeds included."""
+    """All ancestors of the seeds under the proximity relation, seeds included, in
+    one backward pass: every proximity points to an earlier center."""
     for s in seeds:
         _check_index(cluster, s)
     seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        for j in cluster.proximities(stack.pop()):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
+    for i in range(max(seeds, default=0), 0, -1):
+        if i in seen:
+            seen.update(cluster.prox[i])
     return tuple(sorted(seen))
 
 

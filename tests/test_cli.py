@@ -647,6 +647,19 @@ def test_edge_endpoints_follow_the_vertex_id_rule(command, endpoint, tmp_path, c
                    f"edges[0]: endpoint {endpoint!r} or 2 is not a declared vertex\n")
 
 
+def test_euler_bound_attaches_to_a_digit_string_id(tmp_path, capsys):
+    # the int a digit string spells is used only when it names a vertex or the string does not
+    vertices = [{"id": "1", "self_int": -2}, {"id": 2, "self_int": -3}]
+    path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": vertices, "edges": [["1", 2]]})
+    for attach, b0 in (("1", 0), ("2", 1)):
+        code, out, err = run_cli(capsys, "euler", "bound", str(path), "--coeffs", "1,2", "--attach", attach,
+                                 "--format", "structured")
+        assert code == 0, err
+        assert json.loads(out)["bounds"]["b0"] == b0
+    code, out, err = run_cli(capsys, "euler", "bound", str(path), "--coeffs", "1,2", "--attach", "3")
+    assert code == 2 and out == "" and err == "error: unknown vertex id 3\n"
+
+
 def test_graph_documents_may_leave_out_edges(tmp_path, capsys):
     path = _write(tmp_path, {"schema": "dualgraph/1", "vertices": _VERTICES})
     code, out, err = run_cli(capsys, "graph", "check", str(path))

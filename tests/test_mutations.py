@@ -2,8 +2,9 @@
 
 A row applies one mutation with ``monkeypatch`` and asserts exactly which named
 checks fail on small inputs; the unmutated package fails none.  The checks are
-independent routes.  For the chart walk: orders along Nash's generic arcs,
-additivity on products and the walk's own invariants.  For the facts the reports
+independent routes.  For the chart walk and the replay: orders along Nash's
+generic arcs, additivity on products, the walk's own invariants and the replay's
+check of its curvette rows.  For the facts the reports
 derive (a verdict's status from its witness, a sign report's and a certificate's
 flags from their entries): a minimal-joint-model inversion, an adjugate inverse
 and the closed-form Euler bound.  A mutation that survives stays in the table,
@@ -34,7 +35,7 @@ from nasharc import (
     standard_fixture,
     strict_transform_profile,
 )
-from nasharc import euler_bounds, exact_linalg, obstructions, valuations
+from nasharc import BlowupCluster, clusters, euler_bounds, exact_linalg, obstructions, valuations
 from nasharc.valuations import ord_vector
 
 TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
@@ -45,20 +46,23 @@ TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
 
 def _checks_that_catch() -> set[str]:
     """The named checks that fail on the tangent clusters of <= 3 points: the arc route,
-    additivity on products, and the walk's own invariants (by their messages)."""
+    additivity on products, and the invariants of the walk and of the replay's curvette
+    rows (by their messages; an invariant failure no name matches counts as its message)."""
     germs = [parse_poly(text) for text in ("y^2 - x^3", "y - x", "x*y + y^3", "x - y^2")]
     invariants = {"not divisible": "divisibility", "vanished": "vanishing strict transform",
-                  "proximity inequality": "proximity inequality"}
+                  "proximity inequality": "proximity inequality",
+                  "curvette rows is not -I": "curvette-row check"}
     caught = set()
 
     def run(route, *args):
         try:
             return route(*args)
         except InternalInvariantError as exc:
-            caught.update(name for text, name in invariants.items() if text in str(exc))
+            caught.update([name for text, name in invariants.items() if text in str(exc)] or [str(exc)])
 
     for structure in enumerate_proximity_structures(3):
         for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            run(lambda c: c.curvette_rows, cluster)
             orders = {g: run(ord_vector, cluster, g) for g in germs}
             for g in germs:
                 run(strict_transform_profile, cluster, g)
@@ -75,6 +79,14 @@ def _checks_that_catch() -> set[str]:
 
 def test_the_unmutated_walk_passes_every_check():
     assert _checks_that_catch() == set()
+
+
+def test_an_invariant_failure_without_a_name_is_caught_under_its_message(monkeypatch):
+    def mutant(strict, tangent, m):
+        raise InternalInvariantError("boom")
+
+    monkeypatch.setattr(valuations, "_chart_step", mutant)
+    assert _checks_that_catch() == {"boom"}
 
 
 _ORDER_ROUTES = {"arc route", "product additivity"}
@@ -142,6 +154,36 @@ def test_a_mutated_tangent_cone_test_is_caught(monkeypatch, mutant, caught_by):
     cone = valuations._on_tangent_cone
     monkeypatch.setattr(valuations, "_on_tangent_cone", lambda s, t, m: mutant(cone, s, t, m))
     assert _checks_that_catch() == caught_by
+
+
+@pytest.mark.parametrize(
+    "mutant, caught_by",
+    [
+        # every chart taken as a tangent-c chart: an INF chart's parent met at INF, not 0
+        pytest.param(lambda rule, kinds, prox, hi, lo: INF if lo == max(prox[hi]) else Fraction(0),
+                     {"arc route"}, id="no INF-chart flip"),
+        pytest.param(lambda rule, kinds, prox, hi, lo: Fraction(0) if rule(kinds, prox, hi, lo) is INF else INF,
+                     {"arc route", "proximity inequality"}, id="every direction flipped"),
+    ],
+)
+def test_a_mutated_chart_direction_rule_is_caught(monkeypatch, mutant, caught_by):
+    """One rule gives the satellite kinds and the directions a free point avoids; the
+    clusters the checks enumerate are replayed afresh, so they read the mutant."""
+    rule = clusters._direction
+    monkeypatch.setattr(clusters, "_direction", lambda *args: mutant(rule, *args))
+    assert _checks_that_catch() == caught_by
+
+
+def test_an_unfold_skipping_a_satellite_proximity_is_caught(monkeypatch):
+    def unfold(self, values):
+        out = list(values)
+        for i, here in enumerate(self.prox):
+            for j in here[:1]:  # a satellite's second proximity is dropped
+                out[i] += out[j]
+        return out
+
+    monkeypatch.setattr(BlowupCluster, "unfold", unfold)
+    assert _checks_that_catch() == {"curvette-row check", "arc route"}
 
 
 # -- facts derived from other facts ---------------------------------------------

@@ -6,8 +6,9 @@ float (every answer rests on exact signs and integrality), and raises
 strips.  A value keeps what it derives in a ``functools.cached_property``,
 never in a hand-written ``__dict__`` memo.  Only ``rationals`` decides what an
 exact integer is (an ``int`` but not a ``bool``): no other module tests for
-``int`` with ``isinstance``.  Every public name has a user outside the tests, and
-the public names are exactly those the package's import block binds.
+``int`` with ``isinstance``.  Only ``clusters`` names the chart kinds.  Every
+public name has a user outside the tests, and the public names are exactly
+those the package's import block binds.
 """
 
 import ast
@@ -69,6 +70,17 @@ def test_only_rationals_tests_for_int_with_isinstance():
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
         and len(node.args) == 2 and names_int(node.args[1])
         and not where.startswith("rationals.py:")
+    ]
+    assert sites == []
+
+
+def test_only_clusters_names_the_chart_kinds():
+    """The chart conventions live in ``clusters``: no other module spells a chart kind."""
+    kinds = {"root", "free", "free_inf", "sat_x", "sat_y"}
+    sites = [
+        where
+        for where, node in _nodes(ast.Constant)
+        if node.value in kinds and not where.startswith("clusters.py:")
     ]
     assert sites == []
 
