@@ -142,9 +142,8 @@ def _canonical_form(graph: DualGraph):
 def canonical_key(graph: DualGraph) -> CanonicalKey:
     """Relabeling-invariant key, sensitive to weights, genera, labels and edges."""
     deco, adj = _canonical_form(graph)
-    payload = {
-        "v": [[si, g, list(labels)] for si, g, labels in deco],
-        "e": [[a, b, m] for a, b, m in adj],
-    }
-    text = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-    return CanonicalKey(text.encode("utf-8"))
+    # the compact, key-sorted JSON of {"v": [[si, g, labels]...], "e": [[a, b, m]...]},
+    # written directly: only the label strings need json's escapes
+    edges = ",".join(f"[{a},{b},{m}]" for a, b, m in adj)
+    verts = ",".join(f"[{si},{g},[{','.join(map(json.dumps, labels))}]]" for si, g, labels in deco)
+    return CanonicalKey(f'{{"e":[{edges}],"v":[{verts}]}}'.encode("utf-8"))

@@ -461,7 +461,10 @@ def _cmd_pair_canon(args) -> int:
         "key_digest": key.digest_hex(),
     }
     if args.kb:
-        kb = _STORES.setdefault(os.path.realpath(args.kb), KnowledgeBase(os.path.abspath(args.kb)))
+        path = os.path.realpath(args.kb)
+        kb = _STORES.get(path)
+        if kb is None:  # built only on a miss: a setdefault default is built every time
+            kb = _STORES[path] = KnowledgeBase(os.path.abspath(args.kb))
         if args.store:
             record = kb.store(key, ObstructionStatus(args.store), args.provenance or "")
             lines.append(f"stored verdict {record.status.value} in {args.kb}")

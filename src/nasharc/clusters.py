@@ -59,6 +59,18 @@ def _forbidden_slopes(kinds, prox, points, component: int) -> set:
     return taken | {p.tangent for p in siblings if p.tangent is not None}
 
 
+def _blow_up(here: tuple[int, ...], self_ints: list[int], alive: set) -> None:
+    """Blow up a center on the components ``here``: their self-intersections drop
+    by one, each meets the new (-1)-component, and a satellite center separates its
+    two components."""
+    i = len(self_ints)
+    for s in here:
+        self_ints[s] -= 1
+        alive.add(_PAIRS[s][i])
+    alive.discard(here)
+    self_ints.append(-1)
+
+
 @dataclass(frozen=True)
 class BlowupCluster:
     """The centers, checked by one replay of their blow-ups, and what that replay finds.
@@ -126,13 +138,9 @@ class BlowupCluster:
                 lo, hi = here
                 kind = "sat_x" if _direction(kinds, prox, hi, lo) is INF else "sat_y"
 
-            for s in here:
-                self_ints[s] -= 1
-                alive.add(_PAIRS[s][i])
-            alive.discard(here)  # a satellite center separates its two components
+            _blow_up(here, self_ints, alive)
             prox.append(here)
             kinds.append(kind)
-            self_ints.append(-1)
         results = {"prox": prox, "kinds": kinds, "self_ints": self_ints, "edges": sorted(alive)}
         for name, value in results.items():  # a frozen dataclass takes no plain assignment
             object.__setattr__(self, name, tuple(value))
@@ -351,13 +359,13 @@ def closure_indices(cluster: BlowupCluster, *seeds: int) -> tuple[int, ...]:
     return tuple(sorted(seen))
 
 
-def minimal_joint_model(cluster: BlowupCluster, e: int, f: int, keep=None) -> BlowupCluster:
+def minimal_joint_model(cluster: BlowupCluster, e: int, f: int) -> BlowupCluster:
     """The smallest sub-cluster in which both chosen components appear.
 
-    Keeps the proximity closure of the two centers (``keep``, when the caller
-    has it), reindexed in the same order, with tangent parameters unchanged.
+    Keeps the proximity closure of the two centers, reindexed in the same
+    order, with tangent parameters unchanged.
     """
-    keep = closure_indices(cluster, e, f) if keep is None else keep
+    keep = closure_indices(cluster, e, f)
     index = {old: new for new, old in enumerate(keep)}
     pts = []
     for old in keep:
@@ -377,13 +385,20 @@ def pair_graph(cluster: BlowupCluster, e: int, f: int) -> DualGraph:
 
     The labeled graph is the topological fingerprint of the ordered pair of
     divisorial valuations; feed it to canonical_key for table lookups.
-    A single vertex carries both labels when e equals f.
+    A single vertex carries both labels when e equals f.  The closure holds
+    every center a kept center is proximate to, so the joint model replays the
+    parent's kept blow-ups on the kept components; no sub-cluster is built.
     """
     keep = closure_indices(cluster, e, f)
-    graph = simulate(minimal_joint_model(cluster, e, f, keep))
-    extra: dict[int, set[str]] = {keep.index(e): {"E"}}
-    extra.setdefault(keep.index(f), set()).add("F")
-    return graph.with_labels(extra)
+    index = {old: new for new, old in enumerate(keep)}
+    self_ints: list[int] = []
+    alive: set[tuple[int, int]] = set()
+    for old in keep:
+        _blow_up(tuple(index[s] for s in cluster.prox[old]), self_ints, alive)
+    labels = {e: {"E"}}
+    labels.setdefault(f, set()).add("F")
+    vertices = tuple(GraphVertex(i, w, 0, labels.get(old, ())) for i, (old, w) in enumerate(zip(keep, self_ints)))
+    return DualGraph(vertices, tuple(alive))
 
 
 # -- enumeration and fixtures -------------------------------------------------

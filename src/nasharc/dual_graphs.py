@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
@@ -32,10 +33,6 @@ def _id_key(vid: VertexId):
 def _dot_quote(value) -> str:
     """A DOT quoted string: backslashes and double quotes escaped."""
     return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _norm_edge(a: VertexId, b: VertexId) -> tuple[VertexId, VertexId]:
-    return (a, b) if _id_key(a) <= _id_key(b) else (b, a)
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,16 @@ class DualGraph:
         if len(set(ids)) != len(ids):
             raise ValidationError("vertex ids must be unique")
         known = set(ids)
-        normed = []
+        keyed = []  # (endpoint keys, edge), the smaller endpoint first
         for a, b in self.edges:
             if not (is_vertex_id(a) and is_vertex_id(b) and a in known and b in known):
                 raise ValidationError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise ValidationError(f"loop edge at vertex {a!r} rejected: components are smooth")
-            normed.append(_norm_edge(a, b))
-        object.__setattr__(self, "edges", tuple(sorted(normed, key=lambda e: (_id_key(e[0]), _id_key(e[1])))))
+            ka, kb = _id_key(a), _id_key(b)
+            keyed.append(((ka, kb), (a, b)) if ka <= kb else ((kb, ka), (b, a)))
+        keyed.sort(key=itemgetter(0))
+        object.__setattr__(self, "edges", tuple(edge for _, edge in keyed))
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable = ()) -> "DualGraph":
@@ -143,13 +142,6 @@ class DualGraph:
         )
         es = tuple((mapping[a], mapping[b]) for a, b in self.edges)
         return DualGraph(vs, es)
-
-    def with_labels(self, extra: Mapping[VertexId, Iterable[str]]) -> "DualGraph":
-        vs = []
-        for v in self.vertices:
-            added = frozenset(extra.get(v.id, ()))
-            vs.append(GraphVertex(v.id, v.self_int, v.genus, v.labels | added))
-        return DualGraph(tuple(vs), self.edges)
 
     # -- documents -----------------------------------------------------------
 

@@ -39,7 +39,7 @@ Tangent = Fraction | int | _Infinity
 
 def is_exact_int(value) -> bool:
     """An ``int`` other than a ``bool``: the one test for an exact integer."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_rational(text: str | Rational) -> Fraction:

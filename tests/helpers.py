@@ -4,13 +4,15 @@ The oracles here deliberately avoid the code paths they check: cofactor
 expansion instead of Bareiss elimination, Cramer's rule instead of
 Gauss-Jordan, a direct quadratic-form scan for definiteness, and one
 inversion per minimal joint model instead of the cluster's own curvette
-rows, and a Sylvester resultant of a pushed-down parametrization instead
-of pushing a curvette's equation down the charts, orders along Nash's
-generic arcs instead of the chart walk, a chart step at every point of a
-cluster instead of only at the points on a germ's strict transforms, and a
-canonical form by full backtracking over every ordering of every ambiguous
-color class instead of the library's automorphism-pruned search.  `count_eliminations`
-is a spy on the elimination kernel.
+rows, a pair graph replayed from the minimal joint model instead of read
+off the parent's replay, and a Sylvester resultant of a pushed-down
+parametrization instead of pushing a curvette's equation down the charts,
+orders along Nash's generic arcs instead of the chart walk, a chart step
+at every point of a cluster instead of only at the points on a germ's
+strict transforms, and a canonical form by full backtracking over every
+ordering of every ambiguous color class instead of the library's
+automorphism-pruned search.  `count_eliminations` is a spy on the
+elimination kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from nasharc import (
     CurvetteWitness,
     DualGraph,
     ExactMatrix,
+    GraphVertex,
     InternalInvariantError,
     ObstructionStatus,
     Poly2,
@@ -33,6 +36,7 @@ from nasharc import (
     closure_indices,
     cluster_matrix,
     minimal_joint_model,
+    simulate,
 )
 from nasharc import valuations
 
@@ -210,6 +214,23 @@ def random_connected_negdef_tree(rng: random.Random, max_vertices: int = 8) -> D
     vertices = [(i, rng.randint(-5, -2)) for i in range(n)]
     edges = [(rng.randint(0, i - 1), i) for i in range(1, n)]
     return DualGraph.build(vertices, edges)
+
+
+def with_labels(graph: DualGraph, extra) -> DualGraph:
+    """The graph with the labels ``extra[id]`` added to each vertex id it names."""
+    vertices = tuple(
+        GraphVertex(v.id, v.self_int, v.genus, v.labels | frozenset(extra.get(v.id, ()))) for v in graph.vertices
+    )
+    return DualGraph(vertices, graph.edges)
+
+
+def pair_graph_joint_model(cluster, e: int, f: int) -> DualGraph:
+    """The labelled pair graph by replaying the minimal joint model as a
+    cluster of its own and labelling its dual graph."""
+    keep = closure_indices(cluster, e, f)
+    extra = {keep.index(e): {"E"}}
+    extra.setdefault(keep.index(f), set()).add("F")
+    return with_labels(simulate(minimal_joint_model(cluster, e, f)), extra)
 
 
 def joint_model_rows(cluster, e: int, f: int):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import random_decorated_graph, solve_cramer
+from helpers import random_decorated_graph, solve_cramer, with_labels
 
 from nasharc import (
     INF,
@@ -324,8 +324,8 @@ def test_criterion_9_canonicalization():
     fixtures = {
         "A3": standard_fixture("A3"),
         "D4": standard_fixture("D4"),
-        "A3 label on end": standard_fixture("A3").with_labels({0: ("E",)}),
-        "A3 label on middle": standard_fixture("A3").with_labels({1: ("E",)}),
+        "A3 label on end": with_labels(standard_fixture("A3"), {0: ("E",)}),
+        "A3 label on middle": with_labels(standard_fixture("A3"), {1: ("E",)}),
         # a 12-vertex chain exercises the stated size bound
         "chain of 12": DualGraph.build(
             [(i, -2) for i in range(12)], [(i, i + 1) for i in range(11)]

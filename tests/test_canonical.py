@@ -1,9 +1,10 @@
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from helpers import canonical_form_oracle, random_decorated_graph
+from helpers import canonical_form_oracle, pair_graph_joint_model, random_decorated_graph, with_labels
 
 import nasharc.canonical as canonical
 from nasharc import (
@@ -42,9 +43,9 @@ def test_chain_and_star_differ():
 
 def test_label_orbit_sensitivity():
     base = standard_fixture("A3")
-    on_end = base.with_labels({0: ("E",)})
-    on_other_end = base.with_labels({2: ("E",)})
-    on_middle = base.with_labels({1: ("E",)})
+    on_end = with_labels(base, {0: ("E",)})
+    on_other_end = with_labels(base, {2: ("E",)})
+    on_middle = with_labels(base, {1: ("E",)})
     # the two chain ends are swapped by an automorphism, the middle is not
     assert canonical_key(on_end).key == canonical_key(on_other_end).key
     assert canonical_key(on_end).key != canonical_key(on_middle).key
@@ -62,7 +63,7 @@ def test_weight_genus_and_multiplicity_sensitivity():
 def test_stability_under_random_relabelings():
     rng = random.Random(5)
     for name in ("A6", "D5", "E6"):
-        graph = standard_fixture(name).with_labels({2: ("E",), 4: ("F",)})
+        graph = with_labels(standard_fixture(name), {2: ("E",), 4: ("F",)})
         reference = canonical_key(graph).key
         for _ in range(200):
             assert canonical_key(_shuffled(graph, rng)).key == reference
@@ -75,6 +76,21 @@ def test_stability_on_random_decorated_graphs():
         reference = canonical_key(graph).key
         for _ in range(25):
             assert canonical_key(_shuffled(graph, rng)).key == reference
+
+
+def test_key_bytes_are_the_compact_sorted_json_of_the_form():
+    """Verdict stores on disk hold these bytes: labels needing escapes, an empty
+    label set, string and int ids and a double edge keep the json.dumps form."""
+    graph = DualGraph.build(
+        [("a", -2, 0, {'quo"te', "back\\slash", "é"}), (1, -3, 1), ("b", -1, 2, {"E"})],
+        [("a", 1), (1, "a"), ("b", 1)],
+    )
+    deco, adj = canonical._canonical_form(graph)
+    payload = {"v": [[si, g, list(labels)] for si, g, labels in deco], "e": [[a, b, m] for a, b, m in adj]}
+    key = canonical_key(graph).key
+    assert key == json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    assert b"\\u00e9" in key and b'quo\\"te' in key and b"back\\\\slash" in key
+    assert any(m == 2 for _, _, m in adj)  # the double edge
 
 
 def test_key_is_deterministic_bytes():
@@ -111,10 +127,14 @@ def _tree(branching) -> DualGraph:
 
 
 def test_keys_equal_the_oracle_on_small_structures():
-    """Every pair graph and whole dual graph of every structure on <= 6 points."""
+    """Every pair graph and whole dual graph of every structure on <= 6 points;
+    each pair graph equals the one replayed from its minimal joint model."""
     for cluster in enumerate_proximity_structures(6):
         graphs = [simulate(cluster)]
-        graphs += [pair_graph(cluster, e, f) for e in range(cluster.n) for f in range(cluster.n) if e != f]
+        for e in range(cluster.n):
+            for f in range(cluster.n):
+                graphs.append(pair_graph(cluster, e, f))
+                assert graphs[-1].to_doc() == pair_graph_joint_model(cluster, e, f).to_doc()
         for graph in graphs:
             assert canonical_key(graph).key == canonical_form_oracle(graph)
 

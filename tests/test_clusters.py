@@ -188,6 +188,22 @@ def test_pair_graph_computes_its_closure_once(monkeypatch):
     assert [v.labels for v in graph.vertices] == [set(), {"E"}, set(), {"F"}]
 
 
+def test_pair_graph_builds_one_graph_and_no_cluster(monkeypatch):
+    import nasharc.clusters as clusters
+
+    chain5 = cluster_fixture("chain5")
+    built = []
+    for cls in (clusters.BlowupCluster, clusters.DualGraph):
+
+        def spy(self, init=cls.__post_init__):
+            built.append(type(self).__name__)
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    pair_graph(chain5, 1, 3)
+    assert built == ["DualGraph"]
+
+
 def test_pair_graph_two_directions_star():
     graph = pair_graph(TWO_DIRECTIONS, 1, 2)
     assert sorted(v.self_int for v in graph.vertices) == [-3, -1, -1]

@@ -1,5 +1,5 @@
 import pytest
-from helpers import quadratic_form_negative
+from helpers import quadratic_form_negative, with_labels
 
 import nasharc.cli as cli
 from nasharc import (
@@ -129,7 +129,7 @@ def test_fixture_bounds():
 
 
 def test_doc_roundtrip():
-    graph = standard_fixture("D4").with_labels({0: ("E",)})
+    graph = with_labels(standard_fixture("D4"), {0: ("E",)})
     doc = graph.to_doc()
     assert validate_graph_doc(doc) == []
     assert graph_from_doc(doc) == graph
@@ -179,7 +179,7 @@ def test_json_syntax_error_reports_location(tmp_path, capsys):
 
 
 def test_dot_export_mentions_every_vertex():
-    graph = standard_fixture("A2").with_labels({1: ("F",)})
+    graph = with_labels(standard_fixture("A2"), {1: ("F",)})
     dot = graph.to_dot()
     assert '"0"' in dot and '"1"' in dot and "--" in dot and "F" in dot
 
