@@ -157,7 +157,7 @@ class BlowupCluster:
     def geometry(self) -> "BlowupCluster":  # read by perfbench/workloads.py::curvette_supported
         return self
 
-    def proximities(self, i: int) -> tuple[int, ...]:
+    def proximities(self, i: int) -> tuple[int, ...]:  # read by perfbench/workloads.py::curvette_supported
         """Indices of the earlier centers whose components pass through point i."""
         return self.prox[i]
 
@@ -286,7 +286,7 @@ def proximity_matrix(cluster: BlowupCluster) -> ExactMatrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = 1
-        for j in cluster.proximities(i):
+        for j in cluster.prox[i]:
             rows[i][j] = -1
     return ExactMatrix.from_rows(rows)
 

@@ -8,8 +8,9 @@ point on its strict transforms (``_on_tangent_cone``), and unfolds their
 multiplicities m, 0 at every other point.  Both read the same m (orders P^-1 m,
 profile P^t m), so rows . profile = orders for any m: their agreement, an
 acceptance gate, checks the replay's proximity bookkeeping and the proximity
-inequality.  The self-check of ``curvette_polynomial`` and
-the tests' Sylvester and sympy oracles check the chart arithmetic.
+inequality.  An explicit curvette (``curvette_polynomial``) pushes an arc
+forward through the same charts and eliminates its parameter; its lattice
+self-check and the tests' Sylvester and sympy oracles check the chart arithmetic.
 """
 
 from __future__ import annotations
@@ -177,51 +178,67 @@ def compare(cluster: BlowupCluster, e: int, f: int) -> Comparison:
 # -- explicit curvette equations --------------------------------------------------
 
 
+def _times(f: list, g: list) -> list:
+    """Product of two polynomials in one variable, as coefficient lists from degree 0."""
+    out = [0] * (len(f) + len(g) - 1)
+    for a, u in enumerate(f):
+        if u:  # the pushed x(t) and y(t) start with zeros
+            for b, v in enumerate(g):
+                out[a + b] += u * v
+    return out
+
+
 def curvette_polynomial(cluster: BlowupCluster, i: int) -> Poly2:
     """An explicit germ whose lift crosses component i transversely.
 
-    One candidate, the line y - s*x in the chart at center i with s the
-    first positive integer slope free on component i, is pushed down the
-    chart chain by its equation: each chart map is birational, so the image
-    of a curve is its equation substituted back and rid of the exceptional
-    divisor.  The germ is scaled as the resultant Res_t(x(t) - x, y(t) - y)
-    of the line's pushed-down parametrization, whose degrees may sum to at
-    most MAX_CURVETTE_DEGREE, else ValidationError.  Its orders along the
-    proximity closure of i must be column i of the curvette rows there, else
-    InternalInvariantError.  That holds exactly when x(t) is a monomial (on
-    every tangent cluster of <= 5 points over 0, 1, -1, inf); else another
-    root of x(t) also reaches the origin, e.g. x = t^2 (t + 1), y = t (t + 1)
-    at t = -1.
+    One candidate, the arc (t, s*t) in the chart at center i with s the first
+    positive integer slope free on component i, is pushed to the origin through
+    the chart maps; deg x(t) + deg y(t) is at most MAX_CURVETTE_DEGREE, else
+    ValidationError.  The germ is Res_t(x(t) - x, y(t) - y), eliminated only when
+    x(t) = l*t^m: (-1)^m l^deg y times the norm prod (y - y(zeta*tau)) over the m-th
+    roots of unity, tau^m = x/l, from power sums by Newton's identities.  Any other
+    x(t) is refused with InternalInvariantError, since another of its roots reaches
+    the origin too (x = t^2 (t + 1), y = t (t + 1) at t = -1), and so is a germ whose
+    orders along the proximity closure of i are not column i of the curvette rows.
     """
     keep = closure_indices(cluster, i)
-    rows = curvette_order_rows(cluster)
-    expect = tuple(rows[k][i] for k in keep)
-
     taken = cluster.forbidden_slopes(i)
     slope = next(c for c in count(1) if c not in taken)
-    g = Poly2({(0, 1): 1, (1, 0): -slope})
-    dx, dy, lx, ly = 1, 1, 1, slope  # degrees and leading coefficients of x(t), y(t)
+    x, y = [0, 1], [0, slope]  # coefficient lists of x(t), y(t); y(0) = 0 throughout
     j = i
     while j != 0:  # chart maps are applied from the deepest point outward
         parent, tangent = cluster.plan[j]
         if tangent is None:
-            raise ValidationError(
-                f"point {j} is free without a tangent parameter; "
-                f"an explicit curvette equation needs coordinates"
-            )
+            raise ValidationError(f"point {j} is free without a tangent parameter; "
+                                  f"an explicit curvette equation needs coordinates")
         if tangent is INF:
-            g, dx, lx = g.blow_down_inf(), dx + dy, lx * ly
+            x = _times(x, y)
         else:
-            g, dy, ly = g.blow_down_free(tangent), dx + dy, lx * ly
-        if dx + dy > MAX_CURVETTE_DEGREE:
-            raise ValidationError(
-                f"explicit curvettes are limited to parametrizations of total degree {MAX_CURVETTE_DEGREE}"
-            )
+            y = _times(x, [tangent, *y[1:]])
+        if len(x) + len(y) - 2 > MAX_CURVETTE_DEGREE:
+            raise ValidationError(f"explicit curvettes are limited to parametrizations of total degree "
+                                  f"{MAX_CURVETTE_DEGREE}")
         j = parent
-    # the resultant's pure y^dx coefficient is lc(x(t))^dy times (-1)^dx from the y(t) - y factors
-    g = g.scale(Fraction((-1) ** dx * lx**dy) / g.terms[(0, dx)])
-    orders = _orders(cluster, g, keep)
-    profile = tuple(orders[k] for k in keep)
+    m, l = len(x) - 1, x[-1]
+    if x.count(0) != m:
+        x_t = str(Poly2({(a, 0): v for a, v in enumerate(x)})).replace("x", "t")
+        raise InternalInvariantError(f"curvette candidate with slope {slope} produced x(t) = {x_t}, "
+                                     f"not a monomial")
+    # p[k], power sum k of the conjugates: m times the part of y(t)^k in T = x/l.  c[k], the
+    # coefficient (-1)^(m+k) e_k of y^(m-k), by Newton's identities: k c[k] = -sum_s c[k-s] p[s]
+    power, p, c = [1], [None], [[(-1) ** m]]
+    for k in range(1, m + 1):
+        power = _times(power, y)
+        p.append([m * v for v in power[::m]])
+        acc = [0] * len(p[k])  # deg e_k <= k deg y / m
+        for s in range(1, k + 1):
+            for q, v in enumerate(_times(c[k - s], p[s])):
+                acc[q] -= v
+        c.append([v // k if type(v) is int and not v % k else Fraction(v, k) for v in acc])
+    # deg e_k <= deg y: scaled by l^deg y, the coefficient of T^q = x^q / l^q takes l^(deg y - q)
+    g = Poly2({(q, m - k): v * l ** (len(y) - 1 - q) for k, ck in enumerate(c) for q, v in enumerate(ck)})
+    orders, rows = _orders(cluster, g, keep), curvette_order_rows(cluster)
+    profile, expect = tuple(orders[k] for k in keep), tuple(rows[k][i] for k in keep)
     if profile != expect:
         raise InternalInvariantError(
             f"curvette candidate with slope {slope} produced profile {profile}, expected {expect}"

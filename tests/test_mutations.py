@@ -7,7 +7,8 @@ generic arcs, additivity on products, the walk's own invariants and the replay's
 check of its curvette rows.  For the facts the reports
 derive (a verdict's status from its witness, a sign report's and a certificate's
 flags from their entries): a minimal-joint-model inversion, an adjugate inverse
-and the closed-form Euler bound.  A mutation that survives stays in the table,
+and the closed-form Euler bound.  For explicit curvettes: the Sylvester resultant
+and the refusal set, beside the lattice self-check.  A mutation that survives stays in the table,
 either argued equivalent or with a new check.
 """
 
@@ -16,7 +17,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import arc_orders, inverse_adjugate, obstruction_joint_model
+from helpers import (
+    arc_orders,
+    eliminate_parameter,
+    inverse_adjugate,
+    obstruction_joint_model,
+    pushed_parametrization,
+)
 
 from nasharc import (
     INF,
@@ -291,3 +298,55 @@ def _contradicts_disk_without_minimality(monkeypatch):
 def test_a_mutated_derived_fact_is_caught(monkeypatch, mutate, caught_by):
     mutate(monkeypatch)
     assert _fact_checks_that_catch() == caught_by
+
+
+# -- explicit curvettes -----------------------------------------------------------
+
+
+def _curvette_checks_that_catch() -> set[str]:
+    """The named checks that fail on the tangent clusters of <= 3 points: the lattice
+    self-check of ``curvette_polynomial``, the Sylvester resultant of the pushed-down
+    parametrization at every point it builds, and the refusal set, which must be the
+    points whose pushed-down x(t) is not a monomial."""
+    caught = set()
+    for structure in enumerate_proximity_structures(3):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            for i in range(cluster.n):
+                x_t, y_t = pushed_parametrization(cluster, i)
+                try:
+                    g, refused = valuations.curvette_polynomial(cluster, i), False
+                except InternalInvariantError as exc:
+                    g, refused = None, "produced x(t)" in str(exc)
+                    if "produced profile" in str(exc):
+                        caught.add("self-check")
+                if refused != (len(x_t.terms) > 1):
+                    caught.add("refusal set")
+                elif g is not None and g != eliminate_parameter(x_t, y_t):
+                    caught.add("Sylvester oracle")
+    return caught
+
+
+def test_the_unmutated_curvettes_pass_every_check():
+    assert _curvette_checks_that_catch() == set()
+
+
+@pytest.mark.parametrize(
+    "old, new, caught_by",
+    [
+        pytest.param("[[(-1) ** m]]", "[[(-1) ** (m + 1)]]", {"Sylvester oracle"}, id="sign flipped"),
+        pytest.param("[m * v for v in power[::m]]", "[v for v in power[::m]]",
+                     {"self-check", "Sylvester oracle"}, id="power sums without m"),
+        pytest.param("m, l = len(x) - 1, x[-1]\n    if x.count(0) != m:",
+                     "m, l = next((a, v) for a, v in enumerate(x) if v)\n    if False:",
+                     {"refusal set"}, id="lowest term of x(t)"),
+    ],
+)
+def test_a_mutated_curvette_elimination_is_caught(monkeypatch, old, new, caught_by):
+    """The self-check reads orders, so it cannot see a constant factor such as the sign;
+    the oracle can.  Taking x(t)'s lowest term for l*t^m builds an equation where x(t)
+    is no monomial, e.g. x^2 - 2*x*y + y^2 - x at point 4 of the 5-point cluster
+    [(None,), (0, None, INF), (0, None, 0), (0, None, 1), (1, None, 1)], which passes
+    its self-check; there is no resultant to hold it to, so only the refusal set pins it."""
+    mutant = _mutated(valuations, "curvette_polynomial", old, new)
+    monkeypatch.setattr(valuations, "curvette_polynomial", mutant)
+    assert _curvette_checks_that_catch() == caught_by

@@ -110,19 +110,6 @@ def test_chart_substitutions():
     assert parse_poly("x^2*y").subst_inf() == parse_poly("x^2*y^3")
 
 
-def test_blow_downs_invert_the_chart_substitutions():
-    # the image of a strict transform is the germ itself, once no axis divides it
-    for text in ("y - 3*x", "y^2 - x^3", "x^2 - 4*y^3", "3/2*y^2 - x^5 + 1/3*x*y + y"):
-        h = parse_poly(text)
-        m = h.multiplicity()
-        for c in (0, 1, Fraction(-2, 3)):
-            assert h.subst_free(c).divide_power(0, m).blow_down_free(c) == h
-        assert h.subst_inf().divide_power(1, m).blow_down_inf() == h
-    # the exceptional divisor is divided out
-    assert parse_poly("x*y").blow_down_free(0) == parse_poly("y")
-    assert parse_poly("x*y").blow_down_inf() == parse_poly("x")
-
-
 def test_divide_power():
     poly = parse_poly("x^2*y - x^3")
     assert poly.divide_power(0, 2) == parse_poly("y - x")
@@ -199,9 +186,8 @@ def test_scalars_and_tangents_follow_the_exact_value_rule(scalar):
     g = parse_poly("x + y")
     with pytest.raises(ValidationError, match="^polynomial scalars must be exact rationals"):
         g.scale(scalar)
-    for chart in (g.subst_free, g.blow_down_free):
-        with pytest.raises(ValidationError, match="^chart tangents must be exact rationals"):
-            chart(scalar)
+    with pytest.raises(ValidationError, match="^chart tangents must be exact rationals"):
+        g.subst_free(scalar)
 
 
 def test_exact_scalars_and_tangents_are_taken_in_canonical_form():
@@ -209,7 +195,6 @@ def test_exact_scalars_and_tangents_are_taken_in_canonical_form():
     assert _coefficient_types(g.scale(Fraction(4, 2))) == {int}
     assert g.scale(0).is_zero()
     assert g.subst_free(Fraction(2, 2)) == g.subst_free(1)
-    assert g.blow_down_free(Fraction(2, 2)) == g.blow_down_free(1)
 
 
 def test_int_subclass_coefficients_become_plain_ints():

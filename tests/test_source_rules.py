@@ -8,7 +8,7 @@ never in a hand-written ``__dict__`` memo.  Only ``rationals`` decides what an
 exact integer is (an ``int`` but not a ``bool``): no other module tests for
 ``int`` with ``isinstance``.  Only ``clusters`` names the chart kinds.  Every
 public name has a user outside the tests, and the public names are exactly
-those the package's import block binds.
+those the package's import block binds.  Every input limit is in the README.
 """
 
 import ast
@@ -97,6 +97,18 @@ def _names_read(path):
         elif isinstance(node, (ast.Attribute, ast.alias)):
             names.add(node.attr if isinstance(node, ast.Attribute) else node.name)
     return names
+
+
+def test_every_input_limit_is_documented():
+    """Each module-level ``MAX_*`` constant bounds what an input may ask for; the README
+    names it, so a refusal it causes can be looked up."""
+    limits = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            limits.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    assert len(limits) >= 8
+    assert sorted(limits - _names_read(ROOT / "README.md")) == []
 
 
 def test_every_public_name_is_used_outside_the_tests():

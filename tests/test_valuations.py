@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, count, product
 from operator import mul
@@ -210,7 +211,7 @@ def test_curvette_polynomial_needs_tangents():
 
 
 def test_curvette_polynomial_eliminates_once(monkeypatch):
-    """One candidate per call: a supported point and a failing one each cost one self-check."""
+    """One candidate per call: a supported point costs one self-check, a refused one none."""
     calls = []
     orders = valuations._orders
 
@@ -225,7 +226,7 @@ def test_curvette_polynomial_eliminates_once(monkeypatch):
     two_branches = BlowupCluster.from_specs([(None,), (0, None, INF), (0, None, 0), (1, None, 1)])
     with pytest.raises(InternalInvariantError):
         curvette_polynomial(two_branches, 3)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert pushed_parametrization(two_branches, 3)[0] == parse_poly("x^3 + x^2")
 
 
@@ -247,8 +248,8 @@ def test_parameter_elimination_meets_no_zero_pivot():
 
 
 def test_curvette_polynomial_equals_the_resultant_oracle():
-    """At every supported point the pushed-down equation is the Sylvester resultant
-    of the pushed-down parametrization, scale included; elsewhere the self-check fails."""
+    """At every supported point the equation is the Sylvester resultant of the pushed-down
+    parametrization, scale included; every other point is refused, naming its x(t)."""
     checked = 0
     for pool in (TANGENT_POOL, (Fraction(1, 2), Fraction(-2, 3), Fraction(3), INF)):
         for structure in enumerate_proximity_structures(4):
@@ -260,7 +261,9 @@ def test_curvette_polynomial_equals_the_resultant_oracle():
                         ), (cluster, i)
                         checked += 1
                     else:
-                        with pytest.raises(InternalInvariantError):
+                        x_t = str(pushed_parametrization(cluster, i)[0]).replace("x", "t")
+                        refusal = rf"^curvette candidate with slope \d+ produced x\(t\) = {re.escape(x_t)}, "
+                        with pytest.raises(InternalInvariantError, match=refusal):
                             curvette_polynomial(cluster, i)
     assert checked == 1155 + 1227
     chain24 = cluster_fixture("chain24")
