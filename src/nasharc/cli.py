@@ -347,11 +347,12 @@ def _cmd_euler_bound(args) -> int:
         inverse = M.inverse()
     except SingularMatrixError:
         inverse = None
+    b0, balls, tubes, final = map(format_rational, parts.values())  # refused past the digit limit
     lines = [
-        f"attachment ball bound: {parts['b0']}",
-        f"crossing balls bound:  {parts['balls']}",
-        f"tubes bound:           {parts['tubes']}",
-        f"final bound:           {parts['final']}  (assembly identity verified)",
+        f"attachment ball bound: {b0}",
+        f"crossing balls bound:  {balls}",
+        f"tubes bound:           {tubes}",
+        f"final bound:           {final}  (assembly identity verified)",
     ]
     if cert.minimality_flags:
         lines.append(

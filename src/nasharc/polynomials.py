@@ -1,8 +1,10 @@
 """Sparse bivariate polynomials with exact rational coefficients.
 
-These are the local equations fed to the order-of-vanishing computations; the
-chart walk's results (``subst_free``), exact by construction, skip the
-constructor's checks.  No factorization is ever performed; multiplicities are
+These are the local equations fed to the order-of-vanishing computations.  A
+germ from outside the program enters as text through ``parse_poly``, one
+left-to-right pass that refuses the first character outside the grammar at its
+index; the chart walk's results (``subst_free``), exact by construction, skip
+the constructor's checks.  No factorization is ever performed; multiplicities are
 minimal total degrees.  Coefficients are ``int`` where integral, ``Fraction``
 only for a true quotient, so integer germs stay in integer arithmetic.
 """
@@ -51,10 +53,6 @@ class Poly2:
                 out[k] = out.get(k, 0) + c1 * c2
         return Poly2(out)
 
-    def scale(self, c: Rational) -> "Poly2":
-        c = c if type(c) is int else exact_rational(c, "polynomial scalars")
-        return Poly2({k: v * c for k, v in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, Poly2) and self.terms == other.terms
 
@@ -71,9 +69,6 @@ class Poly2:
         if not self.terms:
             raise ValidationError("the zero polynomial has no multiplicity")
         return min(a + b for a, b in self.terms)
-
-    def evaluate(self, x, y):
-        return sum(c * x**a * y**b for (a, b), c in self.terms.items())
 
     # -- blow-up charts ---------------------------------------------------------
 
@@ -159,7 +154,9 @@ def _exact_poly(terms: dict[Monomial, Rational]) -> Poly2:
     return poly
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>[xy])|(?P<op>[*/^+-]))")
+# A number, a variable, an operator, or any other non-blank character (refused);
+# blanks between tokens match nothing and are skipped.
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>[xy])|(?P<op>[*/^+-])|(?P<bad>\S)")
 
 # Germ size limits of the text grammar.  The chart walk of an order or
 # strict-transform computation grows with the germ's total degree and
@@ -171,98 +168,62 @@ MAX_GERM_TERMS = 256
 
 
 def parse_poly(text: str) -> Poly2:
-    """Parse the plain-text grammar: terms like ``2/3*x^2*y`` joined by + or -.
+    """Parse a germ text: an optional sign, then terms joined by + or -, each
+    term factors ``p``, ``p/q``, ``x``, ``x^n``, ``y`` or ``y^n`` joined by *.
 
-    Each term is read into one coefficient and one exponent pair, added into
-    a single term dict; the one ``Poly2`` is built at the end."""
-    source = text.replace("−", "-")
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            if source[pos:].strip():
-                raise ValidationError(
-                    f"polynomial parse error at position {pos}: unexpected {source[pos]!r}"
-                )
-            break
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
+    One left-to-right pass over the tokens adds each term into one term dict;
+    the one ``Poly2`` is built at the end, and its total degree checked."""
+    tokens: list[tuple[str | None, str | None]] = []
+    for m in _TOKEN.finditer(text.replace("−", "-")):
+        if m.lastgroup == "bad":
+            raise ValidationError(f"polynomial parse error at position {m.start()}: unexpected {m[0]!r}")
+        tokens.append((m.lastgroup, m[0]))
+    if not tokens:
+        raise ValidationError("empty polynomial text")
+    tokens.append((None, None))  # the end of the germ text
 
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None)
-
-    def take():
-        nonlocal idx
-        tok = peek()
-        idx += 1
-        return tok
-
-    def number(value: str) -> int:
+    def number(i: int, what: str) -> int:
+        """The digit run at token ``i``; without one, the refusal ``expected <what>``."""
+        kind, value = tokens[i]
+        if kind != "num":
+            raise ValidationError(f"polynomial parse error: expected {what}")
         try:
             return int(value)
         except ValueError as exc:  # past the interpreter's digit limit
             raise ValidationError(f"polynomial parse error: {exc}") from exc
 
-    def parse_rational_token() -> Rational:
-        num = number(take()[1])  # the caller has peeked a number
-        if peek() == ("op", "/"):
-            take()
-            kind, value = take()
-            if kind != "num":
-                raise ValidationError("polynomial parse error: expected a denominator")
-            den = number(value)
-            if den == 0:
-                raise ValidationError("polynomial parse error: zero denominator")
-            return canonical_rational(Fraction(num, den))
-        return num
-
-    def parse_factor() -> tuple[Rational, int, int]:  # a coefficient, the exponents of x and y
-        kind, value = peek()
-        if kind == "num":
-            return parse_rational_token(), 0, 0
-        if kind == "var":
-            take()
-            exp = 1
-            if peek() == ("op", "^"):
-                take()
-                kind2, value2 = take()
-                if kind2 != "num":
-                    raise ValidationError("polynomial parse error: expected an exponent")
-                exp = number(value2)
-            return (1, exp, 0) if value == "x" else (1, 0, exp)
-        got = "the end of the germ text" if kind is None else repr(value)
-        raise ValidationError(f"polynomial parse error: expected a factor, got {got}")
-
-    def add_term(sign: int):
-        """Read one term and add ``sign`` times it into ``terms``."""
-        coef, a, b = parse_factor()
-        while peek() == ("op", "*"):
-            take()
-            c, da, db = parse_factor()
-            coef, a, b = coef * c, a + da, b + db
-        terms[a, b] = terms.get((a, b), 0) + sign * coef
-
-    if not tokens:
-        raise ValidationError("empty polynomial text")
     terms: dict[Monomial, Rational] = {}
-    sign = 1
-    kind, value = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    add_term(sign)
-    count = 1
-    while idx < len(tokens):
-        kind, value = take()
-        if kind != "op" or value not in "+-":
-            raise ValidationError(f"polynomial parse error: expected + or -, got {value!r}")
+    i = count = 0
+    while tokens[i][0] is not None:
+        sign = tokens[i][1]
+        if sign in ("+", "-"):
+            i += 1
+        elif count:  # only the first term may go unsigned
+            raise ValidationError(f"polynomial parse error: expected + or -, got {sign!r}")
         count += 1
         if count > MAX_GERM_TERMS:
             raise ValidationError(f"germs are limited to {MAX_GERM_TERMS} terms")
-        add_term(-1 if value == "-" else 1)
+        coef, power = -1 if sign == "-" else 1, {"x": 0, "y": 0}
+        while True:  # one factor, with its suffix ^n or /q
+            kind, value = tokens[i]
+            if kind != "var":
+                got = "the end of the germ text" if kind is None else repr(value)
+                coef *= number(i, f"a factor, got {got}")
+            mark, what = ("^", "an exponent") if kind == "var" else ("/", "a denominator")
+            suffix = tokens[i + 1] == ("op", mark)
+            n = number(i + 2, what) if suffix else 1
+            i += 3 if suffix else 1
+            if kind == "var":
+                power[value] += n
+            elif n == 0:
+                raise ValidationError("polynomial parse error: zero denominator")
+            elif n != 1:
+                coef = Fraction(coef, n)
+            if tokens[i] != ("op", "*"):
+                break
+            i += 1
+        key = (power["x"], power["y"])
+        terms[key] = terms.get(key, 0) + coef
     result = Poly2(terms)  # drops the zero coefficients and canonicalizes the rest
     degree = max((a + b for a, b in result.terms), default=0)
     if degree > MAX_GERM_DEGREE:

@@ -12,13 +12,15 @@ at every point of a cluster instead of only at the points on a germ's
 strict transforms, and a canonical form by full backtracking over every
 ordering of every ambiguous color class instead of the library's
 automorphism-pruned search.  `count_eliminations` is a spy on the
-elimination kernel.
+elimination kernel, `evaluate` a germ's value at a point, and `GERM_REFUSALS`
+every refusal of the germ text grammar with one text that draws it.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import count
 
@@ -39,6 +41,7 @@ from nasharc import (
     simulate,
 )
 from nasharc import valuations
+from nasharc.polynomials import MAX_GERM_DEGREE, MAX_GERM_TERMS
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -54,6 +57,44 @@ def count_eliminations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(exact_linalg, "_eliminate", spy)
     return calls
+
+
+def evaluate(poly: Poly2, x, y):
+    """The value of ``poly`` at (x, y)."""
+    return sum(c * x**a * y**b for (a, b), c in poly.terms.items())
+
+
+def _conversion_error(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:  # past the interpreter's digit limit
+        return str(exc)
+    raise AssertionError("no digit limit")
+
+
+_PARSE, _AT = "polynomial parse error: ", "polynomial parse error at position "
+_TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+GERM_REFUSALS = [  # (text, the whole message of its ValidationError)
+    ("", "empty polynomial text"),
+    (" ", "empty polynomial text"),
+    ("z", _AT + "0: unexpected 'z'"),
+    ("x $", _AT + "2: unexpected '$'"),
+    ("y - x  z", _AT + "7: unexpected 'z'"),
+    ("x^", _PARSE + "expected an exponent"),
+    ("x^y", _PARSE + "expected an exponent"),
+    ("1/ x", _PARSE + "expected a denominator"),
+    ("2/0", _PARSE + "zero denominator"),
+    ("2^3", _PARSE + "expected + or -, got '^'"),
+    ("1/2/3", _PARSE + "expected + or -, got '/'"),
+    ("x y", _PARSE + "expected + or -, got 'y'"),
+    ("x**y", _PARSE + "expected a factor, got '*'"),
+    ("--x", _PARSE + "expected a factor, got '-'"),
+    ("+", _PARSE + "expected a factor, got the end of the germ text"),
+    ("x +", _PARSE + "expected a factor, got the end of the germ text"),
+    ("y^" + _TOO_LONG, _PARSE + _conversion_error(_TOO_LONG)),
+    (" + ".join(["x"] * (MAX_GERM_TERMS + 1)), f"germs are limited to {MAX_GERM_TERMS} terms"),
+    (f"y^{MAX_GERM_DEGREE + 1}", f"germs are limited to total degree {MAX_GERM_DEGREE}, got {MAX_GERM_DEGREE + 1}"),
+]
 
 
 def det_cofactor(rows) -> Fraction:

@@ -166,7 +166,7 @@ def test_each_matrix_is_rendered_once_in_the_format_asked_for(capsys, monkeypatc
             capsys, "euler", "bound", "E8", "--coeffs", "2,3,4,5,6,4,2,3", "--attach", "7", "--format", fmt
         )
         assert code == 0, err
-        assert len(calls) == 128, fmt  # the 64 entries of M and the 64 of M^-1
+        assert len(calls) == 4 + 128, fmt  # the four bounds, the 64 entries of M and the 64 of M^-1
 
 
 def test_graph_check_unknown_input(capsys):
@@ -808,14 +808,29 @@ def test_rationals_past_the_digit_limit_are_refused(command, change, where, tmp_
     assert err == f"error: {path}: {where}rational number past the {limit}-digit limit of integer conversion\n"
 
 
-def test_a_result_past_the_digit_limit_is_refused(tmp_path, capsys):
+def _dfd_check_past_the_limit(tmp_path):
     # each count is within the limit; the solved b, a sum of their multiples, is not
     count = 9 * 10 ** (sys.get_int_max_str_digits() - 1)
-    path = _write(tmp_path, {**_INPUTS[("dfd", "check")], "c": [count, count]})
-    for fmt in ("text", "structured"):
-        code, out, err = run_cli(capsys, "dfd", "check", str(path), "--format", fmt)
-        assert code == 2 and out == ""
-        assert err == f"error: result past the {sys.get_int_max_str_digits()}-digit limit of integer conversion\n"
+    return ["dfd", "check", str(_write(tmp_path, {**_INPUTS[("dfd", "check")], "c": [count, count]}))]
+
+
+_NINES = "9" * sys.get_int_max_str_digits()  # each coefficient is within the limit; the balls bound 1 - 2a is not
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_dfd_check_past_the_limit, id="dfd-check"),
+        pytest.param(lambda _: ["euler", "bound", "A1", "--coeffs", _NINES, "--attach", "0"], id="euler-bound-A1"),
+        pytest.param(lambda _: ["euler", "bound", "E8", "--coeffs", ",".join([_NINES] * 8), "--attach", "0"],
+                     id="euler-bound-E8"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_result_past_the_digit_limit_is_refused(argv, fmt, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *argv(tmp_path), "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: result past the {sys.get_int_max_str_digits()}-digit limit of integer conversion\n"
 
 
 # -- intake fuzzing: near-valid documents and store lines never end in a traceback
@@ -935,6 +950,21 @@ def test_fuzzed_documents_exit_0_or_2(data):
     assert code in (0, 2), text[:500]
     if command == ("graph", "check") and code == 2:  # refused at intake, before any sweep
         assert eliminations == [], text[:500]
+
+
+_GERM_TOKENS = st.sampled_from(["x", "y", "*", "/", "^", "+", "-", "−", " ", "  ", "0", "1", "2", "12", "33", "z", "$",
+                                 "\t", "x^", "*y", _LONG_INT])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(_GERM_TOKENS, max_size=12).map("".join))
+def test_fuzzed_germ_texts_exit_0_or_2(text):
+    """A germ text of the grammar's tokens, blanks, stray characters and long numbers is
+    answered or refused with one line of stderr, never a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["val", "ord", "chain2", "1", f"--poly={text}"])  # "--poly -x" would read -x as an option
+    assert code == 0 or code == 2 and err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), text[:200]
 
 
 _RECORD = st.fixed_dictionaries(

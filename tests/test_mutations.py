@@ -4,12 +4,14 @@ A row applies one mutation with ``monkeypatch`` and asserts exactly which named
 checks fail on small inputs; the unmutated package fails none.  The checks are
 independent routes.  For the chart walk and the replay: orders along Nash's
 generic arcs, additivity on products, the walk's own invariants and the replay's
-check of its curvette rows.  For the facts the reports
-derive (a verdict's status from its witness, a sign report's and a certificate's
-flags from their entries): a minimal-joint-model inversion, an adjugate inverse
-and the closed-form Euler bound.  For explicit curvettes: the Sylvester resultant
-and the refusal set, beside the lattice self-check.  A mutation that survives stays in the table,
-either argued equivalent or with a new check.
+check of its curvette rows.  For the facts the reports derive (a verdict's status
+from its witness, a sign report's and a certificate's flags from their entries): a
+minimal-joint-model inversion, an adjugate inverse and the closed-form Euler bound,
+beside the bound's own assembly identity.  For explicit curvettes: the Sylvester
+resultant and the refusal set, beside the lattice self-check.  For canonical keys:
+the unpruned backtracking oracle, on pair graphs and on two 2-regular graphs.  For
+the germ reader: the table of every refusal and the text round trip.  A mutation
+that survives stays in the table, either argued equivalent or with a new check.
 """
 
 import inspect
@@ -18,7 +20,9 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    GERM_REFUSALS,
     arc_orders,
+    canonical_form_oracle,
     eliminate_parameter,
     inverse_adjugate,
     obstruction_joint_model,
@@ -35,14 +39,20 @@ from nasharc import (
     InverseSignReport,
     ObstructionStatus,
     ObstructionVerdict,
+    Poly2,
+    ValidationError,
+    canonical_key,
     enumerate_proximity_structures,
     enumerate_tangent_assignments,
     intersection_matrix,
+    pair_graph,
     parse_poly,
     standard_fixture,
     strict_transform_profile,
 )
-from nasharc import BlowupCluster, clusters, euler_bounds, exact_linalg, obstructions, valuations
+from nasharc import (
+    BlowupCluster, canonical, clusters, euler_bounds, exact_linalg, obstructions, polynomials, valuations,
+)
 from nasharc.valuations import ord_vector
 
 TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
@@ -223,7 +233,8 @@ def _fact_checks_that_catch() -> set[str]:
     """The named checks that fail: verdicts of the tangent-free clusters of <= 4 points
     against one inversion of each minimal joint model, returns verdicts on A1..D4 and
     inverse sign reports against the adjugate inverse, and disk certificates against
-    the closed-form bound and the (-1)-curves of the graph."""
+    the closed-form bound and the (-1)-curves of the graph, or their refusal by the
+    bound's own assembly identity."""
     caught = set()
     for cluster in enumerate_proximity_structures(4):
         for e, f in itertools.product(range(cluster.n), repeat=2):
@@ -255,7 +266,12 @@ def _fact_checks_that_catch() -> set[str]:
         vertices = data.graph.vertices
         bound = sum(a * (2 - 2 * v.genus + v.self_int) for a, v in zip(data.coeffs, vertices))
         minus_one = any(v.genus == 0 and v.self_int == -1 for v in vertices)
-        if euler_bounds.contradiction_certificate(data).contradicts_disk != (bound < 1 and not minus_one):
+        try:
+            certificate = euler_bounds.contradiction_certificate(data)
+        except InternalInvariantError as exc:
+            caught.add("assembly identity" if "bound assembly failed" in str(exc) else str(exc))
+            continue
+        if certificate.contradicts_disk != (bound < 1 and not minus_one):
             caught.add("certificate oracle")
     return caught
 
@@ -286,6 +302,11 @@ def _contradicts_disk_without_minimality(monkeypatch):
     monkeypatch.setattr(ContradictionCertificate, "contradicts_disk", property(lambda self: self.bound < 1))
 
 
+def _tubes_without_the_attachment_disk(monkeypatch):
+    mutant = _mutated(euler_bounds, "tubes_bound", "if i == attach:\n            chi -= 1", "pass")
+    monkeypatch.setattr(euler_bounds, "tubes_bound", mutant)
+
+
 @pytest.mark.parametrize(
     "mutate, caught_by",
     [
@@ -293,6 +314,7 @@ def _contradicts_disk_without_minimality(monkeypatch):
         pytest.param(_returns_accepting_a_non_integral_entry, {"returns oracle"}, id="returns"),
         pytest.param(_all_nonpositive_inverted, {"inverse sign oracle"}, id="sign"),
         pytest.param(_contradicts_disk_without_minimality, {"certificate oracle"}, id="disk"),
+        pytest.param(_tubes_without_the_attachment_disk, {"assembly identity"}, id="tubes"),
     ],
 )
 def test_a_mutated_derived_fact_is_caught(monkeypatch, mutate, caught_by):
@@ -350,3 +372,86 @@ def test_a_mutated_curvette_elimination_is_caught(monkeypatch, old, new, caught_
     mutant = _mutated(valuations, "curvette_polynomial", old, new)
     monkeypatch.setattr(valuations, "curvette_polynomial", mutant)
     assert _curvette_checks_that_catch() == caught_by
+
+
+# -- canonical keys ---------------------------------------------------------------
+
+_TRIANGLE, _SQUARE = [(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (2, 3), (0, 3)]
+_CYCLES = [  # a triangle beside a square, in both vertex orders: one cell that refinement cannot split
+    DualGraph.build([(i, -2) for i in range(7)], first + [(a + len(first), b + len(first)) for a, b in second])
+    for first, second in ((_TRIANGLE, _SQUARE), (_SQUARE, _TRIANGLE))
+]
+
+
+def _key_checks_that_catch() -> set[str]:
+    """The named checks that fail: the keys of every pair graph of the structures on
+    <= 4 points, and of two small 2-regular graphs, against the unpruned oracle."""
+    caught = set()
+    for cluster in enumerate_proximity_structures(4):
+        for e, f in itertools.product(range(cluster.n), repeat=2):
+            graph = pair_graph(cluster, e, f)
+            if canonical_key(graph).key != canonical_form_oracle(graph):
+                caught.add("pair-graph oracle")
+    if any(canonical_key(graph).key != canonical_form_oracle(graph) for graph in _CYCLES):
+        caught.add("cycle oracle")
+    return caught
+
+
+def test_the_unmutated_keys_pass_every_check():
+    assert _key_checks_that_catch() == set()
+
+
+def test_a_search_pruning_every_twin_checked_vertex_is_caught(monkeypatch):
+    """With every two vertices of a cell taken for twins, each cell is branched on its
+    first vertex only.  Pair graphs are trees, and on a tree colour refinement already
+    splits the vertices into their orbits, so every vertex of a cell leads to the same
+    leaves: the pair graphs cannot see this.  The triangle beside the square can: its
+    one cell holds vertices that no automorphism swaps."""
+    mutant = _mutated(canonical, "_canonical_form", "return {**nbrs[u], u: 0, v: 0} == {**nbrs[v], u: 0, v: 0}",
+                      "return True")
+    monkeypatch.setattr(canonical, "_canonical_form", mutant)
+    assert _key_checks_that_catch() == {"cycle oracle"}
+
+
+# -- the germ reader ---------------------------------------------------------------
+
+_GERMS = [
+    Poly2({(0, 2): 1, (3, 0): -1}),
+    Poly2({(1, 1): 2, (0, 1): Fraction(1, 2), (0, 0): -3}),
+    Poly2({(2, 5): Fraction(-7, 3), (4, 0): 5, (0, 0): 1}),
+]
+
+
+def _reader_checks_that_catch() -> set[str]:
+    """The named checks that fail: every refusal of the grammar, word for word, and
+    the round trip of a few germs through their text."""
+    caught = set()
+    for text, message in GERM_REFUSALS:
+        try:
+            polynomials.parse_poly(text)
+            caught.add("refusal table")
+        except ValidationError as exc:
+            if str(exc) != message:
+                caught.add("refusal table")
+    if any(polynomials.parse_poly(str(g)) != g for g in _GERMS):
+        caught.add("round trip")
+    return caught
+
+
+def test_the_unmutated_reader_passes_every_check():
+    assert _reader_checks_that_catch() == set()
+
+
+@pytest.mark.parametrize(
+    "old, new, caught_by",
+    [
+        pytest.param('-1 if sign == "-" else 1', "1", {"round trip"}, id="sign after - dropped"),
+        pytest.param("power[value] += n", 'power["y" if value == "x" else "x"] += n', {"round trip"},
+                     id="exponent on the other variable"),
+        pytest.param("coef = Fraction(coef, n)", "coef = coef", {"round trip"}, id="p/q read as p"),
+    ],
+)
+def test_a_mutated_germ_reader_is_caught(monkeypatch, old, new, caught_by):
+    mutant = _mutated(polynomials, "parse_poly", old, new)
+    monkeypatch.setattr(polynomials, "parse_poly", mutant)
+    assert _reader_checks_that_catch() == caught_by

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     arc_orders,
     eliminate_parameter,
+    evaluate,
     every_point_walk,
     inverse_adjugate,
     pushed_parametrization,
@@ -244,7 +245,7 @@ def test_parameter_elimination_meets_no_zero_pivot():
         g = eliminate_parameter(X, Y)
         assert max(b for _, b in g.terms) == max(a for a, _ in X.terms)
         for t in range(-2, 3):
-            assert g.evaluate(X.evaluate(t, 0), Y.evaluate(t, 0)) == 0, (X, Y, g)
+            assert evaluate(g, evaluate(X, t, 0), evaluate(Y, t, 0)) == 0, (X, Y, g)
 
 
 def test_curvette_polynomial_equals_the_resultant_oracle():
