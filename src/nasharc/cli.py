@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -46,7 +47,7 @@ from .dual_graphs import (
     intersection_matrix,
     standard_fixture,
 )
-from .errors import InternalInvariantError, NashArcError, SingularMatrixError, ValidationError
+from .errors import InternalInvariantError, NashArcError, ValidationError
 from .euler_bounds import EulerInput, b0_bound, balls_bound, contradiction_certificate, tubes_bound
 from .exact_linalg import ExactMatrix, check_inverse_nonpositive, is_negative_definite
 from .lifting import WedgeNumericalModel, lifting_verdict, solve_b, verify_numerical
@@ -131,11 +132,15 @@ def _load_input(source: str, kind: str):
         ) from None
 
 
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also reads 1_0 and any decimal digit
+
+
 def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))  # an empty field is refused
-    except ValueError as exc:
-        raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}") from exc
+    fields = text.split(",")
+    if all(map(_INT_FIELD.fullmatch, fields)):  # an empty field is refused
+        with contextlib.suppress(ValueError):  # past the interpreter's digit limit
+            return tuple(map(int, fields))
+    raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}")
 
 
 def _parse_vertex_id(text: str, ids):
@@ -343,10 +348,7 @@ def _cmd_euler_bound(args) -> int:
         "final": cert.bound,
     }
     M = intersection_matrix(graph)
-    try:
-        inverse = M.inverse()
-    except SingularMatrixError:
-        inverse = None
+    inverse = M.inverse() if M.determinant() else None
     b0, balls, tubes, final = map(format_rational, parts.values())  # refused past the digit limit
     lines = [
         f"attachment ball bound: {b0}",

@@ -317,22 +317,19 @@ def germ_touch_count(cluster: BlowupCluster, last: int) -> int:
     """Number of centers touching the strict transform of a marked smooth germ.
 
     The germ is the one through the origin whose lift ends transversely on
-    component ``last``; its centers are exactly the parent chain of that
-    component, which must consist of free points.  The count equals the
-    canonical coefficient of the last component.
+    component ``last``; its centers are the parent chain of that component,
+    which must consist of free points.  A free point is proximate to its parent
+    alone, and a satellite on the chain puts itself into the proximity closure
+    of ``last``: the chain is free exactly when the closure is, past the origin,
+    and is then the closure.  The count equals the canonical coefficient of the
+    last component.
     """
-    _check_index(cluster, last)
-    chain = [last]
-    while True:
-        point = cluster.points[chain[-1]]
-        if point.parent is None:
-            break
-        if point.satellite_of is not None:
-            raise ValidationError(
-                f"component {last} sits over a satellite center; no smooth germ "
-                f"through the origin has its lift ending there"
-            )
-        chain.append(point.parent)
+    chain = closure_indices(cluster, last)
+    if not all(map(cluster.is_free, chain[1:])):
+        raise ValidationError(
+            f"component {last} sits over a satellite center; no smooth germ "
+            f"through the origin has its lift ending there"
+        )
     count = len(chain)
     if count != canonical_coeffs(cluster)[last]:
         raise InternalInvariantError(
@@ -342,16 +339,12 @@ def germ_touch_count(cluster: BlowupCluster, last: int) -> int:
     return count
 
 
-def _check_index(cluster: BlowupCluster, i: int):
-    if not is_exact_int(i) or not 0 <= i < cluster.n:
-        raise ValidationError(f"point index {i!r} out of range for a {cluster.n}-point cluster")
-
-
 def closure_indices(cluster: BlowupCluster, *seeds: int) -> tuple[int, ...]:
     """All ancestors of the seeds under the proximity relation, seeds included, in
     one backward pass: every proximity points to an earlier center."""
     for s in seeds:
-        _check_index(cluster, s)
+        if not is_exact_int(s) or not 0 <= s < cluster.n:
+            raise ValidationError(f"point index {s!r} out of range for a {cluster.n}-point cluster")
     seen = set(seeds)
     for i in range(max(seeds, default=0), 0, -1):
         if i in seen:
@@ -457,24 +450,24 @@ def enumerate_tangent_assignments(
     yield from rec(BlowupCluster(structure.points[:1]))
 
 
-# the named clusters besides chainN, as (parent, satellite_of, tangent) specs
+# the named clusters besides the chains, as (parent, satellite_of, tangent) specs
 _NAMED_CLUSTERS = {
     "twodir": ((None,), (0, None, Fraction(0)), (0, None, Fraction(1))),
     "satellite3": ((None,), (0, None, Fraction(0)), (1, 0)),
 }
+# chain1..chain24: the free points of tangent 0, each on the last component
+_CHAINS = {f"chain{n}": n for n in range(1, MAX_POINTS + 1)}
 
 
 def cluster_fixture(name: str) -> BlowupCluster:
     """Small named clusters used by the command line and the walkthroughs."""
     key = name.strip().lower()
-    if key.startswith("chain") and key[5:].isdecimal():
-        n = int(key[5:]) if len(key) < 10 else 0  # else past MAX_POINTS, maybe the digit limit
-        if not 1 <= n <= MAX_POINTS:
-            raise ValidationError(f"chain fixtures exist for 1..{MAX_POINTS} points")
-        return BlowupCluster.from_specs([(None,)] + [(i, None, Fraction(0)) for i in range(n - 1)])
+    if key in _CHAINS:
+        chain = [(i, None, Fraction(0)) for i in range(_CHAINS[key] - 1)]
+        return BlowupCluster.from_specs([(None,), *chain])
     if key not in _NAMED_CLUSTERS:
         raise ValidationError(
-            f"unknown cluster fixture {name!r}; expected chainN, twodir or satellite3"
+            f"unknown cluster fixture {name!r}; expected chain1..chain{MAX_POINTS}, twodir or satellite3"
         )
     return BlowupCluster.from_specs(_NAMED_CLUSTERS[key])
 

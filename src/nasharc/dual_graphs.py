@@ -54,19 +54,22 @@ class GraphVertex:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Immutable decorated multigraph; vertex order is the matrix index order."""
+    """Immutable decorated multigraph; vertex order is the matrix index order.
+
+    The check of its ids builds the one ``{id: position}`` index the graph
+    keeps; the lattice, ``neighbours``, ``index_of`` and ``relabel`` read it.
+    """
 
     vertices: tuple[GraphVertex, ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
 
     def __post_init__(self):
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
+        index = {v.id: i for i, v in enumerate(self.vertices)}
+        if len(index) != self.n:
             raise ValidationError("vertex ids must be unique")
-        known = set(ids)
         keyed = []  # (endpoint keys, edge), the smaller endpoint first
         for a, b in self.edges:
-            if not (is_vertex_id(a) and is_vertex_id(b) and a in known and b in known):
+            if not (is_vertex_id(a) and is_vertex_id(b) and a in index and b in index):
                 raise ValidationError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise ValidationError(f"loop edge at vertex {a!r} rejected: components are smooth")
@@ -74,17 +77,12 @@ class DualGraph:
             keyed.append(((ka, kb), (a, b)) if ka <= kb else ((kb, ka), (b, a)))
         keyed.sort(key=itemgetter(0))
         object.__setattr__(self, "edges", tuple(edge for _, edge in keyed))
+        object.__setattr__(self, "_index", index)  # a frozen dataclass takes no plain assignment
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable = ()) -> "DualGraph":
         """Build from (id, self_int[, genus[, labels]]) tuples and id pairs."""
-        vs = []
-        for spec in vertices:
-            vid, self_int, *rest = spec
-            genus = rest[0] if rest else 0
-            labels = frozenset(rest[1]) if len(rest) > 1 else frozenset()
-            vs.append(GraphVertex(vid, self_int, genus, labels))
-        return cls(tuple(vs), tuple((a, b) for a, b in edges))
+        return cls(tuple(GraphVertex(*spec) for spec in vertices), tuple((a, b) for a, b in edges))
 
     @property
     def n(self) -> int:
@@ -92,7 +90,7 @@ class DualGraph:
 
     @cached_property
     def _matrix(self) -> ExactMatrix:
-        index = {v.id: i for i, v in enumerate(self.vertices)}
+        index = self._index
         rows = [[0] * self.n for _ in range(self.n)]
         for i, v in enumerate(self.vertices):
             rows[i][i] = v.self_int
@@ -107,15 +105,13 @@ class DualGraph:
         return tuple(v.id for v in self.vertices)
 
     def index_of(self, vid: VertexId) -> int:
-        if is_vertex_id(vid):
-            for i, v in enumerate(self.vertices):
-                if v.id == vid:
-                    return i
+        if is_vertex_id(vid) and vid in self._index:  # 1.0 and True only equal 1; [1] has no hash
+            return self._index[vid]
         raise ValidationError(f"unknown vertex id {vid!r}")
 
     def neighbours(self) -> list[dict[int, int]]:
         """For each vertex index, ``{neighbour index: edge multiplicity}``."""
-        index = {v.id: i for i, v in enumerate(self.vertices)}
+        index = self._index
         nbrs: list[dict[int, int]] = [{} for _ in self.vertices]
         for a, b in self.edges:
             i, j = index[a], index[b]
@@ -135,7 +131,7 @@ class DualGraph:
 
     def relabel(self, mapping: Mapping[VertexId, VertexId]) -> "DualGraph":
         """Rename vertex ids; decorations and adjacency travel with the vertex."""
-        if set(mapping.keys()) != set(self.ids) or len(set(mapping.values())) != self.n:
+        if self._index.keys() != set(mapping) or len(set(mapping.values())) != self.n:
             raise ValidationError("relabeling must be a bijection on the vertex ids")
         vs = tuple(
             GraphVertex(mapping[v.id], v.self_int, v.genus, v.labels) for v in self.vertices

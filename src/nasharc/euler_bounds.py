@@ -53,17 +53,13 @@ class EulerInput:
         return self.coeffs[self.attach_index]
 
 
-def _require_indeterminacy(data: EulerInput):
+def b0_bound(data: EulerInput) -> int:
+    """Disk count bound in the ball around the attachment point: a_0 - 1."""
     if data.attach_coeff < 1:
         raise ValidationError(
             "the attachment coefficient vanishes: the family lifts and the "
             "ball estimate at the attachment point does not apply"
         )
-
-
-def b0_bound(data: EulerInput) -> int:
-    """Disk count bound in the ball around the attachment point: a_0 - 1."""
-    _require_indeterminacy(data)
     return data.attach_coeff - 1
 
 
@@ -101,9 +97,9 @@ def final_bound(data: EulerInput) -> int:
     """The assembled bound: sum of a_i (2 - 2 g_i + w_i) over all vertices.
 
     Internally re-derives the three partial bounds and checks that they
-    telescope to this expression exactly.
+    telescope to this expression exactly; ``b0_bound``, the first of them,
+    refuses a vanishing attachment coefficient.
     """
-    _require_indeterminacy(data)
     total = sum(
         a * (2 - 2 * v.genus + v.self_int)
         for a, v in zip(data.coeffs, data.graph.vertices)

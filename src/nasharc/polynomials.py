@@ -154,9 +154,9 @@ def _exact_poly(terms: dict[Monomial, Rational]) -> Poly2:
     return poly
 
 
-# A number, a variable, an operator, or any other non-blank character (refused);
+# An ASCII digit run, a variable, an operator, or any other non-blank character (refused);
 # blanks between tokens match nothing and are skipped.
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<var>[xy])|(?P<op>[*/^+-])|(?P<bad>\S)")
+_TOKEN = re.compile(r"(?P<num>[0-9]+)|(?P<var>[xy])|(?P<op>[*/^+-])|(?P<bad>\S)")
 
 # Germ size limits of the text grammar.  The chart walk of an order or
 # strict-transform computation grows with the germ's total degree and

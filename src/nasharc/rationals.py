@@ -43,14 +43,17 @@ def is_exact_int(value) -> bool:
 
 
 def parse_rational(text: str | Rational) -> Fraction:
-    """Parse ``"p/q"`` or a decimal literal, or take an exact scalar, into a Fraction."""
+    """Parse ``"p/q"`` or a decimal literal, in ASCII digits 0-9 without ``_``, or take an
+    exact scalar, into a Fraction."""
     if is_exact_int(text) or isinstance(text, Fraction):
         return _within_digit_limit(Fraction(text), "rational number")
     if isinstance(text, str):
         source = text.strip().replace("−", "-")
-        exponent = re.search(r"e([-+]?[\d_]+)$", source, re.IGNORECASE)
+        exponent = re.search(r"e([-+]?[0-9]+)$", source, re.IGNORECASE)
         limit = sys.get_int_max_str_digits()
         try:
+            if not source.isascii() or "_" in source:  # Fraction alone reads any decimal digit and 1_0
+                raise ValueError(f"Invalid literal for Fraction: {source!r}")
             if limit and exponent and abs(int(exponent[1])) > limit + len(source):  # not building 10**exponent
                 raise ValidationError(f"rational number past the {limit}-digit limit of integer conversion")
             return _within_digit_limit(Fraction(source), "rational number")

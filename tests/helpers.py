@@ -11,9 +11,12 @@ orders along Nash's generic arcs instead of the chart walk, a chart step
 at every point of a cluster instead of only at the points on a germ's
 strict transforms, and a canonical form by full backtracking over every
 ordering of every ambiguous color class instead of the library's
-automorphism-pruned search.  `count_eliminations` is a spy on the
-elimination kernel, `evaluate` a germ's value at a point, and `GERM_REFUSALS`
-every refusal of the germ text grammar with one text that draws it.
+automorphism-pruned search, a smooth germ's centers by a walk up the parent
+chain instead of the proximity closure, and a graph's positions by a scan of
+its vertices instead of the index the graph keeps.  `count_eliminations` is
+a spy on the elimination kernel, `evaluate` a germ's value at a point, and
+`GERM_REFUSALS` every refusal of the germ text grammar with one text that
+draws it.
 """
 
 from __future__ import annotations
@@ -35,13 +38,17 @@ from nasharc import (
     ObstructionStatus,
     Poly2,
     ValidationError,
+    canonical_coeffs,
     closure_indices,
     cluster_matrix,
+    intersection_matrix,
     minimal_joint_model,
     simulate,
 )
 from nasharc import valuations
+from nasharc.dual_graphs import is_vertex_id
 from nasharc.polynomials import MAX_GERM_DEGREE, MAX_GERM_TERMS
+from nasharc.rationals import is_exact_int
 
 
 def count_eliminations(monkeypatch) -> list[int]:
@@ -78,6 +85,8 @@ GERM_REFUSALS = [  # (text, the whole message of its ValidationError)
     ("", "empty polynomial text"),
     (" ", "empty polynomial text"),
     ("z", _AT + "0: unexpected 'z'"),
+    ("x^٣", _AT + "2: unexpected '٣'"),  # digits are ASCII 0-9 only
+    ("٣*x", _AT + "0: unexpected '٣'"),
     ("x $", _AT + "2: unexpected '$'"),
     ("y - x  z", _AT + "7: unexpected 'z'"),
     ("x^", _PARSE + "expected an exponent"),
@@ -263,6 +272,84 @@ def with_labels(graph: DualGraph, extra) -> DualGraph:
         GraphVertex(v.id, v.self_int, v.genus, v.labels | frozenset(extra.get(v.id, ()))) for v in graph.vertices
     )
     return DualGraph(vertices, graph.edges)
+
+
+def position_by_scan(graph: DualGraph, vid) -> int | None:
+    """The position of the vertex ``vid`` names, by a scan of the vertices; None for
+    no vertex, and for a value that is no id (1.0 and True only equal 1)."""
+    if is_vertex_id(vid):
+        for i, v in enumerate(graph.vertices):
+            if v.id == vid:
+                return i
+    return None
+
+
+def index_disagreements(graph: DualGraph, mappings) -> set[str]:
+    """The readers of the graph's kept id index that differ from a position scan:
+    ``index_of`` on the ids and on values that name no vertex, ``neighbours()``
+    and the intersection matrix built edge by edge, and ``relabel`` under each
+    of ``mappings`` (same graph, or same refusal, as the scan's bijection check)."""
+    ids = [v.id for v in graph.vertices]
+    out = set()
+    for vid in [*ids, graph.n, -1, "a", True, 1.0, [1], None]:
+        try:
+            found = graph.index_of(vid)
+        except ValidationError as exc:
+            found = str(exc)
+        expected = position_by_scan(graph, vid)
+        if found != (f"unknown vertex id {vid!r}" if expected is None else expected):
+            out.add("index_of")
+    nbrs = [{} for _ in ids]
+    rows = [[v.self_int if i == j else 0 for j in range(graph.n)] for i, v in enumerate(graph.vertices)]
+    for a, b in graph.edges:
+        i, j = position_by_scan(graph, a), position_by_scan(graph, b)
+        nbrs[i][j] = nbrs[j][i] = nbrs[i].get(j, 0) + 1
+        rows[i][j] += 1
+        rows[j][i] += 1
+
+    def differs(read, expected) -> bool:
+        try:
+            return read() != expected
+        except IndexError:  # a position past the vertices
+            return True
+
+    if differs(graph.neighbours, nbrs):
+        out.add("neighbours")
+    if differs(lambda: intersection_matrix(graph).rows, tuple(map(tuple, rows))):
+        out.add("intersection_matrix")
+    for mapping in mappings:
+        if set(mapping) == set(ids) and len(set(mapping.values())) == graph.n:
+            vertices = tuple(GraphVertex(mapping[v.id], v.self_int, v.genus, v.labels) for v in graph.vertices)
+            expected = DualGraph(vertices, tuple((mapping[a], mapping[b]) for a, b in graph.edges))
+        else:
+            expected = "relabeling must be a bijection on the vertex ids"
+        try:
+            found = graph.relabel(mapping)
+        except ValidationError as exc:
+            found = str(exc)
+        if found != expected:
+            out.add("relabel")
+    return out
+
+
+def germ_touch_count_by_walk(cluster, last: int) -> int:
+    """A smooth germ's center count by a walk up the parent chain of ``last``, which
+    must pass only free points, checked against the canonical coefficient."""
+    if not is_exact_int(last) or not 0 <= last < cluster.n:
+        raise ValidationError(f"point index {last!r} out of range for a {cluster.n}-point cluster")
+    chain = [last]
+    while cluster.points[chain[-1]].parent is not None:
+        if cluster.points[chain[-1]].satellite_of is not None:
+            raise ValidationError(
+                f"component {last} sits over a satellite center; no smooth germ "
+                f"through the origin has its lift ending there"
+            )
+        chain.append(cluster.points[chain[-1]].parent)
+    if len(chain) != canonical_coeffs(cluster)[last]:
+        raise InternalInvariantError(
+            f"germ through component {last} touches {len(chain)} centers, but its canonical coefficient differs"
+        )
+    return len(chain)
 
 
 def pair_graph_joint_model(cluster, e: int, f: int) -> DualGraph:

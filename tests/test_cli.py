@@ -443,6 +443,27 @@ def test_empty_csv_fields_are_refused(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("euler", "bound", "A2", "--coeffs", "1_0,1", "--attach", "0"), "coeffs"),
+        (("euler", "bound", "A2", "--coeffs", "٣,1", "--attach", "0"), "coeffs"),
+        (("adj", "obstruct", "chain3", "0", "2", "--returns", "0,1_0,0"), "returns"),
+        (("adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,٠"), "returns"),
+    ],
+)
+def test_csv_integers_are_ascii_digit_runs(argv, flag, capsys):
+    """int() alone reads 1_0 as 10 and any Unicode decimal digit; the lists take 0-9."""
+    text = argv[argv.index(f"--{flag}") + 1]
+    assert run_cli(capsys, *argv) == (2, "", f"error: --{flag} expects comma-separated integers, got {text!r}\n")
+
+
+def test_csv_integers_take_a_sign_and_blanks_around_them(capsys):
+    plain = run_cli(capsys, "euler", "bound", "A2", "--coeffs", "1,1", "--attach", "0")
+    assert plain[0] == 0
+    assert run_cli(capsys, "euler", "bound", "A2", "--coeffs", " 1, +1 ", "--attach", "0") == plain
+
+
 def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "pair", "canon", "chain2", "0", "1", "--store", "RULED_OUT")
@@ -965,6 +986,25 @@ def test_fuzzed_germ_texts_exit_0_or_2(text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(["val", "ord", "chain2", "1", f"--poly={text}"])  # "--poly -x" would read -x as an option
     assert code == 0 or code == 2 and err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), text[:200]
+
+
+_INT_TOKENS = st.sampled_from(["0", "1", "1", "2", "7", "10", "_", "٣", " ", "+", "-", ",", _LONG_INT])
+_INT_TEXT = st.sampled_from(["0", "1", "2", " 1"]) | st.lists(_INT_TOKENS, min_size=1, max_size=3).map("".join)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(_INT_TEXT, min_size=2, max_size=3).map(",".join), _INT_TEXT, st.booleans())
+def test_fuzzed_integer_lists_exit_0_or_2(csv, attach, returns):
+    """Integer lists and attachment ids of digits, '_', a non-ASCII digit, blanks, signs,
+    commas and long numbers are answered or refused with one line of stderr."""
+    if returns:
+        argv = ["adj", "obstruct", "chain3", "0", "2", f"--returns={csv}"]
+    else:  # "--coeffs -1" would read -1 as an option
+        argv = ["euler", "bound", "A2", f"--coeffs={csv}", f"--attach={attach}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code == 0 or code == 2 and err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
 
 
 _RECORD = st.fixed_dictionaries(

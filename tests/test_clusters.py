@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from helpers import germ_touch_count_by_walk
 
 import nasharc.cli as cli
 from nasharc import (
@@ -135,6 +136,22 @@ def test_germ_touch_count(monkeypatch):
     monkeypatch.setattr("nasharc.clusters.canonical_coeffs", lambda cluster: (1, 1, 1))
     with pytest.raises(InternalInvariantError):
         germ_touch_count(cluster_fixture("chain3"), 2)
+
+
+def _outcome(count, cluster, last):
+    try:
+        return count(cluster, last)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_germ_touch_count_reads_as_the_parent_chain_walk():
+    """The proximity closure of a component over free points is its parent chain: on
+    every structure on <= 6 points, at every component and at indices that name none,
+    the count or the refusal matches a walk up the parents."""
+    for cluster in enumerate_proximity_structures(6):
+        for last in (*range(cluster.n), -1, cluster.n, True):
+            assert _outcome(germ_touch_count, cluster, last) == _outcome(germ_touch_count_by_walk, cluster, last)
 
 
 def test_minimal_joint_model_examples():
@@ -392,3 +409,20 @@ def test_fixtures():
     )
     with pytest.raises(ValidationError):
         cluster_fixture("ring5")
+
+
+def test_chain_fixtures_are_named_in_ascii_digits():
+    assert cluster_fixture(" CHAIN24 ").n == MAX_POINTS
+    for name in ("chain٣", "chain03", "chain0", "chain25", "chain1_0", "chain", "chain-1"):
+        with pytest.raises(ValidationError) as err:
+            cluster_fixture(name)
+        assert str(err.value) == f"unknown cluster fixture {name!r}; expected chain1..chain24, twodir or satellite3"
+
+
+def test_cluster_tangents_are_read_in_ascii_digits():
+    doc = cluster_fixture("chain2").to_doc()
+    for tangent in ("٣", "1_0"):
+        doc["points"][1]["tangent"] = tangent
+        assert validate_cluster_doc(doc) == [
+            f"points[1].tangent: malformed rational {tangent!r}: Invalid literal for Fraction: {tangent!r}"
+        ]

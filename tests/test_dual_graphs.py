@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from helpers import quadratic_form_negative, with_labels
+from helpers import index_disagreements, quadratic_form_negative, random_decorated_graph, with_labels
 
 import nasharc.cli as cli
 from nasharc import (
@@ -67,6 +69,37 @@ def test_edge_endpoints_and_lookups_follow_the_vertex_id_rule(endpoint):
         DualGraph.build([(1, -2), (2, -2)], [(endpoint, 2)])
     with pytest.raises(ValidationError, match="^unknown vertex id "):
         standard_fixture("A2").index_of(endpoint)
+
+
+def _mappings(graph, rng):
+    """A relabelling onto fresh ids, one onto strings, and one of each way to miss a bijection."""
+    ids = [v.id for v in graph.vertices]
+    fresh = dict(zip(ids, rng.sample(range(100, 200), len(ids))))
+    named = {vid: f"v{vid}" for vid in ids}
+    first = ids[0]
+    return [
+        fresh,
+        named,
+        {vid: target for vid, target in fresh.items() if vid != first},  # an id left out
+        {**fresh, "extra": 99},  # a key that names no vertex
+        {**fresh, first: fresh[ids[-1]]},  # two ids onto one (fresh itself on one vertex)
+        {(True if vid == 1 else vid): target for vid, target in fresh.items()},  # True only equals 1
+    ]
+
+
+def test_the_kept_id_index_reads_as_a_position_scan():
+    """index_of, neighbours(), the intersection matrix and relabel read the one index the
+    graph keeps; on the ADE fixtures and random decorated multigraphs, and on their
+    relabelled copies, each agrees with a scan of the vertex positions."""
+    rng = random.Random(28)
+    graphs = [standard_fixture(name) for name in fixture_names()]
+    graphs += [random_decorated_graph(rng) for _ in range(60)]
+    for graph in graphs:
+        mappings = _mappings(graph, rng)
+        assert index_disagreements(graph, mappings) == set()
+        for mapping in mappings[:2]:
+            relabelled = graph.relabel(mapping)
+            assert index_disagreements(relabelled, _mappings(relabelled, rng)) == set()
 
 
 def test_relabel_is_a_bijection_requirement():

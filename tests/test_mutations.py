@@ -10,12 +10,16 @@ minimal-joint-model inversion, an adjugate inverse and the closed-form Euler bou
 beside the bound's own assembly identity.  For explicit curvettes: the Sylvester
 resultant and the refusal set, beside the lattice self-check.  For canonical keys:
 the unpruned backtracking oracle, on pair graphs and on two 2-regular graphs.  For
-the germ reader: the table of every refusal and the text round trip.  A mutation
+the germ reader: the table of every refusal and the text round trip.  For a graph's
+kept id index: a scan of the vertex positions; for a smooth germ's centers: the walk
+up the parent chain, beside the count's canonical-coefficient check.  A mutation
 that survives stays in the table, either argued equivalent or with a new check.
 """
 
 import inspect
 import itertools
+import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -24,9 +28,12 @@ from helpers import (
     arc_orders,
     canonical_form_oracle,
     eliminate_parameter,
+    germ_touch_count_by_walk,
+    index_disagreements,
     inverse_adjugate,
     obstruction_joint_model,
     pushed_parametrization,
+    random_decorated_graph,
 )
 
 from nasharc import (
@@ -53,6 +60,7 @@ from nasharc import (
 from nasharc import (
     BlowupCluster, canonical, clusters, euler_bounds, exact_linalg, obstructions, polynomials, valuations,
 )
+from nasharc.dual_graphs import fixture_names
 from nasharc.valuations import ord_vector
 
 TANGENT_POOL = (Fraction(0), Fraction(1), Fraction(-1), INF)
@@ -206,10 +214,12 @@ def test_an_unfold_skipping_a_satellite_proximity_is_caught(monkeypatch):
 # -- facts derived from other facts ---------------------------------------------
 
 
-def _mutated(module, name: str, old: str, new: str):
-    """``module.name`` compiled from its source with the one ``old`` replaced by ``new``."""
-    source = inspect.getsource(getattr(module, name))
+def _mutated(owner, name: str, old: str, new: str):
+    """``owner.name``, a module's function or a class's method, compiled from its source
+    in its module with the one ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1, old
+    module = inspect.getmodule(owner)
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
@@ -226,6 +236,8 @@ _CERTIFICATE_INPUTS = [
     EulerInput(DualGraph.build([(0, -1), (1, -3)], [(0, 1)]), (1, 1), 0),  # a (-1)-curve
     EulerInput(DualGraph.build([(0, -1), (1, -4)], [(0, 1)]), (1, 2), 0),
     EulerInput(DualGraph.build([(0, -1, 1)]), (1,), 0),  # genus one: no flag
+    EulerInput(standard_fixture("A2"), (0, 1), 0),  # a vanishing attachment coefficient: refused
+    EulerInput(standard_fixture("A2"), (0, 1), 1),
 ]
 
 
@@ -234,7 +246,8 @@ def _fact_checks_that_catch() -> set[str]:
     against one inversion of each minimal joint model, returns verdicts on A1..D4 and
     inverse sign reports against the adjugate inverse, and disk certificates against
     the closed-form bound and the (-1)-curves of the graph, or their refusal by the
-    bound's own assembly identity."""
+    bound's own assembly identity; a certificate is refused exactly when its
+    attachment coefficient vanishes."""
     caught = set()
     for cluster in enumerate_proximity_structures(4):
         for e, f in itertools.product(range(cluster.n), repeat=2):
@@ -271,7 +284,11 @@ def _fact_checks_that_catch() -> set[str]:
         except InternalInvariantError as exc:
             caught.add("assembly identity" if "bound assembly failed" in str(exc) else str(exc))
             continue
-        if certificate.contradicts_disk != (bound < 1 and not minus_one):
+        except ValidationError:
+            certificate = None
+        if (certificate is None) != (data.coeffs[data.attach_index] == 0):
+            caught.add("indeterminacy refusal")
+        elif certificate and certificate.contradicts_disk != (bound < 1 and not minus_one):
             caught.add("certificate oracle")
     return caught
 
@@ -307,6 +324,11 @@ def _tubes_without_the_attachment_disk(monkeypatch):
     monkeypatch.setattr(euler_bounds, "tubes_bound", mutant)
 
 
+def _b0_without_its_refusal(monkeypatch):
+    mutant = _mutated(euler_bounds, "b0_bound", "if data.attach_coeff < 1:", "if False:")
+    monkeypatch.setattr(euler_bounds, "b0_bound", mutant)
+
+
 @pytest.mark.parametrize(
     "mutate, caught_by",
     [
@@ -315,11 +337,79 @@ def _tubes_without_the_attachment_disk(monkeypatch):
         pytest.param(_all_nonpositive_inverted, {"inverse sign oracle"}, id="sign"),
         pytest.param(_contradicts_disk_without_minimality, {"certificate oracle"}, id="disk"),
         pytest.param(_tubes_without_the_attachment_disk, {"assembly identity"}, id="tubes"),
+        # the partial bounds telescope for any coefficients, a vanishing a_0 included, so
+        # the assembly identity holds: only the refusal check sees the refusal go
+        pytest.param(_b0_without_its_refusal, {"indeterminacy refusal"}, id="b0 refusal"),
     ],
 )
 def test_a_mutated_derived_fact_is_caught(monkeypatch, mutate, caught_by):
     mutate(monkeypatch)
     assert _fact_checks_that_catch() == caught_by
+
+
+# -- a graph's kept id index and a smooth germ's centers ---------------------------
+
+
+def _index_checks_that_catch() -> set[str]:
+    """The readers of a graph's kept id index that disagree with a scan of its vertex
+    positions, on the ADE fixtures and on random decorated multigraphs."""
+    rng = random.Random(28)
+    graphs = [standard_fixture(name) for name in fixture_names()]
+    graphs += [random_decorated_graph(rng) for _ in range(20)]
+    caught = set()
+    for graph in graphs:
+        ids = [v.id for v in graph.vertices]
+        fresh = dict(zip(ids, rng.sample(range(100, 200), len(ids))))
+        caught |= index_disagreements(graph, [fresh, {**fresh, ids[0]: fresh[ids[-1]]}, {**fresh, "x": 99}])
+    return caught
+
+
+def _germ_checks_that_catch() -> set[str]:
+    """The named checks that fail on every component of the structures on <= 5 points:
+    the walk up the parent chain, and the count's own canonical-coefficient check."""
+    caught = set()
+
+    def outcome(count, cluster, last):
+        try:
+            return count(cluster, last)
+        except ValidationError as exc:
+            return str(exc)
+        except InternalInvariantError as exc:
+            caught.add("canonical coefficient" if "canonical coefficient differs" in str(exc) else str(exc))
+
+    for cluster in enumerate_proximity_structures(5):
+        for last in range(cluster.n):
+            if outcome(clusters.germ_touch_count, cluster, last) != outcome(germ_touch_count_by_walk, cluster, last):
+                caught.add("parent-chain walk")
+    return caught
+
+
+def test_the_unmutated_index_and_germ_count_pass_every_check():
+    assert _index_checks_that_catch() == set() and _germ_checks_that_catch() == set()
+
+
+def test_a_kept_index_off_by_one_is_caught(monkeypatch):
+    """Positions counted from 1: every position reader sees it.  ``relabel`` reads only
+    the index's keys, for its bijection check, so its check stays quiet."""
+    mutant = _mutated(DualGraph, "__post_init__", "enumerate(self.vertices)", "enumerate(self.vertices, 1)")
+    monkeypatch.setattr(DualGraph, "__post_init__", mutant)
+    assert _index_checks_that_catch() == {"index_of", "neighbours", "intersection_matrix"}
+
+
+@pytest.mark.parametrize(
+    "new, caught_by",
+    [
+        pytest.param("chain[1:-1]", {"parent-chain walk", "canonical coefficient"}, id="last point skipped"),
+        # equivalent: a satellite in a closure brings in the two earlier centers it is
+        # proximate to, at most one of them the origin, so the first center past the
+        # origin is never a satellite
+        pytest.param("chain[2:]", set(), id="first point past the origin skipped"),
+    ],
+)
+def test_a_germ_free_check_skipping_a_point_is_caught(monkeypatch, new, caught_by):
+    mutant = _mutated(clusters, "germ_touch_count", "chain[1:]", new)
+    monkeypatch.setattr(clusters, "germ_touch_count", mutant)
+    assert _germ_checks_that_catch() == caught_by
 
 
 # -- explicit curvettes -----------------------------------------------------------

@@ -34,6 +34,14 @@ def test_parse_rational_refuses_bools_and_floats():
             parse_rational(bad)
 
 
+@pytest.mark.parametrize("text", ["٣/٤", "٣", "1/٤", "1_0", "1_000/3", "1e1_0", "1e٣"])
+def test_parse_rational_reads_only_ascii_digits(text):
+    """Fraction alone takes any Unicode decimal digit and 1_0; the grammar takes 0-9."""
+    with pytest.raises(ValidationError) as err:
+        parse_rational(text)
+    assert str(err.value) == f"malformed rational {text!r}: Invalid literal for Fraction: {text!r}"
+
+
 def test_parse_rational_takes_what_exact_rational_takes():
     for value in (Fraction(1, 2), Fraction(4, 2), Count(3), -7):
         assert parse_rational(value) == exact_rational(value, "rationals")

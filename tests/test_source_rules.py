@@ -131,3 +131,18 @@ def test_the_public_names_are_the_import_block():
     star = {}
     exec("from nasharc import *", star)
     assert sorted(set(star) - {"__builtins__"}) == names
+
+
+def test_digits_are_read_as_ascii_0_to_9():
+    """A regex ``\\d`` and ``str.isdecimal``/``isdigit``/``isnumeric`` take every Unicode
+    decimal digit, so ``٣`` would read as 3; the text grammars spell ``[0-9]``."""
+    readers = {"compile", "search", "match", "fullmatch", "findall", "finditer", "sub", "subn", "split"}
+    regexes = [
+        where
+        for where, node in _nodes(ast.Call)
+        if isinstance(node.func, ast.Attribute) and node.func.attr in readers
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+        and node.args and isinstance(node.args[0], ast.Constant) and "\\d" in str(node.args[0].value)
+    ]
+    tests = [where for where, node in _nodes(ast.Attribute) if node.attr in ("isdecimal", "isdigit", "isnumeric")]
+    assert regexes + tests == []
