@@ -110,15 +110,14 @@ def _strip_fixture_prefix(name: str) -> str:
 
 # each kind of command input: its document reader, its fixture lookup and the fixtures it names
 _INPUTS = {
-    "graph": (graph_from_doc, standard_fixture, fixture_names(), ""),
-    "cluster":
-        (cluster_from_doc, cluster_fixture, cluster_fixture_names(), " (chainN for any small N)"),
+    "graph": (graph_from_doc, standard_fixture, fixture_names()),
+    "cluster": (cluster_from_doc, cluster_fixture, cluster_fixture_names()),
 }
 
 
 def _load_input(source: str, kind: str):
     """A path to a ``kind`` document, or the name of a built-in ``kind`` fixture."""
-    from_doc, fixture, names, more = _INPUTS[kind]
+    from_doc, fixture, names = _INPUTS[kind]
     if os.path.exists(source):
         doc = _read_json(source)
         with _naming(source):
@@ -127,29 +126,33 @@ def _load_input(source: str, kind: str):
         return fixture(_strip_fixture_prefix(source))
     except ValidationError:
         raise ValidationError(
-            f"{source!r} is neither a readable file nor one of the {kind} fixtures "
-            f"{', '.join(names)}{more}"
+            f"{source!r} is neither a readable file nor one of the {kind} fixtures {', '.join(names)}"
         ) from None
 
 
-_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also reads 1_0 and any decimal digit
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # int() alone also reads 1_0 and any decimal digit
+
+
+def integer(text: str) -> int:
+    """int(text) of a signed ASCII digit run in blanks, else ValueError; an argparse type."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _parse_int_csv(text: str, what: str) -> tuple[int, ...]:
-    fields = text.split(",")
-    if all(map(_INT_FIELD.fullmatch, fields)):  # an empty field is refused
-        with contextlib.suppress(ValueError):  # past the interpreter's digit limit
-            return tuple(map(int, fields))
-    raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}")
+    try:
+        return tuple(map(integer, text.split(",")))  # an empty field is refused
+    except ValueError:
+        raise ValidationError(f"--{what} expects comma-separated integers, got {text!r}") from None
 
 
 def _parse_vertex_id(text: str, ids):
     """The int ``text`` spells when that names a vertex or the text does not, else the text."""
-    try:
-        number = int(text)
-    except ValueError:
-        return text
-    return number if number in ids or text not in ids else text
+    with contextlib.suppress(ValueError):  # not an integer, or past the digit limit
+        if (number := integer(text)) in ids or text not in ids:
+            return number
+    return text
 
 
 def _lattice(M: ExactMatrix, inverse: ExactMatrix | None) -> list[tuple[str, ExactMatrix]]:
@@ -375,41 +378,39 @@ WEDGE_SCHEMA = "wedgemodel/1"
 
 def _load_wedge_model(path: str, args) -> WedgeNumericalModel:
     doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    if doc.get("schema") != WEDGE_SCHEMA:
-        raise ValidationError(f"{path}: schema: expected {WEDGE_SCHEMA!r}, got {doc.get('schema')!r}")
-    cluster_field = doc.get("cluster")
-    if isinstance(cluster_field, str):
-        cluster = _load_input(cluster_field, "cluster")
-    elif isinstance(cluster_field, dict):
-        with _naming(path):
-            cluster = cluster_from_doc(cluster_field)
-    else:
-        raise ValidationError(f"{path}: cluster: expected an inline document or a reference string")
-    for field in ("special", "c", "d"):
-        if field not in doc:
-            raise ValidationError(f"{path}: missing field {field!r}")
-    for field in ("c", "d", "coeffs", "b"):
-        value = doc.get(field)
-        if not isinstance(value, list) and (field in ("c", "d") or value is not None):
-            raise ValidationError(f"{path}: {field}: expected a list")
-    flags = {}
-    for field in ("minimal_target", "assert_b1_lt_1", "assert_no_lift"):
-        value = doc.get(field, False)
-        if not isinstance(value, bool):
-            raise ValidationError(f"{path}: {field}: expected true or false, got {value!r}")
-        flags[field] = value or getattr(args, field)
-    b = doc.get("b")
-    coeffs = doc.get("coeffs")
-    with _naming(path):  # a referenced cluster file has named itself above
+    with _naming(path):
+        if not isinstance(doc, dict):
+            raise ValidationError("expected a JSON object")
+        if doc.get("schema") != WEDGE_SCHEMA:
+            raise ValidationError(f"schema: expected {WEDGE_SCHEMA!r}, got {doc.get('schema')!r}")
+        cluster = doc.get("cluster")
+        if not isinstance(cluster, (str, dict)):
+            raise ValidationError("cluster: expected an inline document or a reference string")
+    if isinstance(cluster, str):  # a referenced cluster file names itself
+        cluster = _load_input(cluster, "cluster")
+    with _naming(path):
+        if isinstance(cluster, dict):
+            cluster = cluster_from_doc(cluster)
+        for field in ("special", "c", "d"):
+            if field not in doc:
+                raise ValidationError(f"missing field {field!r}")
+        for field in ("c", "d", "coeffs", "b"):
+            value = doc.get(field)
+            if not isinstance(value, list) and (field in ("c", "d") or value is not None):
+                raise ValidationError(f"{field}: expected a list")
+        flags = {}
+        for field in ("minimal_target", "assert_b1_lt_1", "assert_no_lift"):
+            value = doc.get(field, False)
+            if not isinstance(value, bool):
+                raise ValidationError(f"{field}: expected true or false, got {value!r}")
+            flags[field] = value or getattr(args, field)
         return WedgeNumericalModel(
             cluster=cluster,
             special=doc["special"],
             c=tuple(doc["c"]),
             d=tuple(doc["d"]),
-            coeffs=None if coeffs is None else tuple(coeffs),
-            b=None if b is None else tuple(parse_rational(v) for v in b),
+            coeffs=None if doc.get("coeffs") is None else tuple(doc["coeffs"]),
+            b=None if doc.get("b") is None else tuple(parse_rational(v) for v in doc["b"]),
             **flags,
         )
 
@@ -514,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = actions[group].add_parser(action, help=text)
         sub.add_argument("input", help=input_help)
         for name in ints:
-            sub.add_argument(name, type=int)
+            sub.add_argument(name, type=integer)
         sub.add_argument(
             "--format",
             choices=("text", "structured"),
@@ -542,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ao = command("adj", "obstruct", _cmd_adj_obstruct, "test the adjacency N_f in N_e", ints=pair)
     ao.add_argument("--returns", metavar="CSV", help="return counts b_0,...,b_r")
-    ao.add_argument("--special", type=int, help="special component for the returns system (default f)")
+    ao.add_argument("--special", type=integer, help="special component for the returns system (default f)")
     ao.add_argument("--allow-lift", action="store_true", help="do not require indeterminacy")
     command("adj", "table", _cmd_adj_table, "verdicts for all ordered pairs")
 

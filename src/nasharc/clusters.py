@@ -473,4 +473,4 @@ def cluster_fixture(name: str) -> BlowupCluster:
 
 
 def cluster_fixture_names() -> tuple[str, ...]:
-    return (*(f"chain{n}" for n in range(1, 6)), *_NAMED_CLUSTERS)
+    return (*_CHAINS, *_NAMED_CLUSTERS)

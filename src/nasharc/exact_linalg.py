@@ -167,12 +167,17 @@ class ExactMatrix:
         _, s, det, _ = self._sweep
         return _quotient(det, s**self.n)
 
-    def inverse(self) -> "ExactMatrix":
-        """Exact inverse; raises SingularMatrixError on singular input."""
+    @cached_property
+    def _inverse(self) -> "ExactMatrix":
+        """M^-1 = (d M^-1) / d off the kept sweep, kept on the matrix; SingularMatrixError if d = 0."""
         _, _, det, block = self._sweep
         if det == 0:
             raise SingularMatrixError("matrix is singular, no exact inverse or solution")
         return ExactMatrix(tuple(tuple(_quotient(v, det) for v in row) for row in block))
+
+    def inverse(self) -> "ExactMatrix":
+        """Exact inverse; raises SingularMatrixError on singular input."""
+        return self._inverse
 
     def solve(self, rhs: Sequence) -> tuple[Fraction | int, ...]:
         """Solve M x = rhs exactly: (d M^-1) rhs / d; raises SingularMatrixError when d = 0."""
@@ -240,16 +245,7 @@ class InverseSignReport:
 
 
 def check_inverse_nonpositive(matrix: ExactMatrix) -> InverseSignReport:
-    """Report the sign pattern of M^-1 = (d M^-1) / d, read off the kept sweep."""
-    _, _, det, block = matrix._sweep
-    if det == 0:
-        raise SingularMatrixError("matrix is singular, no exact inverse or solution")
-    offending = []
-    zeros = []
-    for i, row in enumerate(block):
-        for j, v in enumerate(row):
-            if v * det > 0:
-                offending.append((i, j, _quotient(v, det)))
-            elif v == 0:
-                zeros.append((i, j))
-    return InverseSignReport(tuple(offending), tuple(zeros))
+    """Report the sign pattern of M^-1, the inverse the matrix keeps."""
+    entries = [(i, j, v) for i, row in enumerate(matrix._inverse.rows) for j, v in enumerate(row)]
+    offending = tuple(entry for entry in entries if entry[2] > 0)
+    return InverseSignReport(offending, tuple((i, j) for i, j, v in entries if v == 0))

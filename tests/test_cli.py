@@ -174,9 +174,9 @@ def test_graph_check_unknown_input(capsys):
     assert code == 2 and "fixtures" in err
     code, out, err = run_cli(capsys, "cluster", "build", "chain25")  # past MAX_POINTS
     assert code == 2 and out == ""
+    chains = ", ".join(f"chain{n}" for n in range(1, 25))
     assert err == (
-        "error: 'chain25' is neither a readable file nor one of the cluster fixtures chain1, chain2, "
-        "chain3, chain4, chain5, twodir, satellite3 (chainN for any small N)\n"
+        f"error: 'chain25' is neither a readable file nor one of the cluster fixtures {chains}, twodir, satellite3\n"
     )
 
 
@@ -462,6 +462,67 @@ def test_csv_integers_take_a_sign_and_blanks_around_them(capsys):
     plain = run_cli(capsys, "euler", "bound", "A2", "--coeffs", "1,1", "--attach", "0")
     assert plain[0] == 0
     assert run_cli(capsys, "euler", "bound", "A2", "--coeffs", " 1, +1 ", "--attach", "0") == plain
+
+
+_INDEX_REQUESTS = {  # each command that takes component positionals, e at argv[3] and f at argv[4]
+    "val compare": ("val", "compare", "chain3", "0", "2"),
+    "adj obstruct": ("adj", "obstruct", "chain3", "0", "2"),
+    "pair canon": ("pair", "canon", "chain3", "0", "2"),
+    "val ord": ("val", "ord", "chain3", "2", "--poly=y"),  # last: it takes no f
+}
+
+
+def _argparse_exit(argv, capsys):
+    """The exit code, stdout and stderr of a request argparse refuses."""
+    with pytest.raises(SystemExit) as refused:
+        cli.run(list(argv))
+    return (refused.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("text", ["٠", "1_0"])
+@pytest.mark.parametrize(
+    "command, slot", [(command, slot) for command in _INDEX_REQUESTS for slot in "ef"][:-1]
+)
+def test_component_indices_are_ascii_digit_runs(command, slot, text, capsys):
+    """type=int read 1_0 as 10 and any Unicode decimal digit; the indices take 0-9."""
+    argv = list(_INDEX_REQUESTS[command])
+    argv["ef".index(slot) + 3] = text
+    code, out, err = _argparse_exit(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument {slot}: invalid integer value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["٢", "1_0"])
+def test_the_special_component_is_an_ascii_digit_run(text, capsys):
+    code, out, err = _argparse_exit(["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0", "--special", text],
+                                    capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument --special: invalid integer value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", ["٠", "1_0"])
+def test_attachment_ids_are_ascii_digit_runs(text, capsys):
+    """int() read ٠ as vertex 0 and 1_0 as 10; text that is no digit run stays a string id."""
+    argv = ("euler", "bound", "A2", "--coeffs", "1,1", "--attach", text)
+    assert run_cli(capsys, *argv) == (2, "", f"error: unknown vertex id {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "plain, spelled",
+    [
+        (("val", "compare", "chain3", "1", "2"), ("val", "compare", "chain3", " 1 ", "+2")),
+        (("val", "ord", "chain3", "1", "--poly=y"), ("val", "ord", "chain3", "01", "--poly=y")),
+        (("adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0", "--special", "1"),
+         ("adj", "obstruct", "chain3", "00", " 2", "--returns", "0,0,0", "--special", "+01")),
+        (("pair", "canon", "chain3", "0", "2"), ("pair", "canon", "chain3", "+0", "02 ")),
+        (("euler", "bound", "A2", "--coeffs", "1,1", "--attach", "1"),
+         ("euler", "bound", "A2", "--coeffs", "1,1", "--attach", " 01 ")),
+    ],
+)
+def test_indices_take_a_sign_blanks_and_leading_zeros(plain, spelled, capsys):
+    expected = run_cli(capsys, *plain)
+    assert expected[0] == 0
+    assert run_cli(capsys, *spelled) == expected
 
 
 def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
@@ -1005,6 +1066,33 @@ def test_fuzzed_integer_lists_exit_0_or_2(csv, attach, returns):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code == 0 or code == 2 and err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+
+
+_INDEX_COMMANDS = {  # the integer positionals and --special on a 5-point chain, where ٣ would name a point
+    "val compare": lambda e, f, special: ["val", "compare", "chain5", e, f],
+    "val ord": lambda e, f, special: ["val", "ord", "chain5", e, "--poly=y"],
+    "adj obstruct": lambda e, f, special: ["adj", "obstruct", "chain5", e, f, "--returns=0,0,0,0,0",
+                                           f"--special={special}"],
+    "pair canon": lambda e, f, special: ["pair", "canon", "chain5", e, f],
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from(list(_INDEX_COMMANDS)), _INT_TEXT, _INT_TEXT, _INT_TEXT)
+def test_fuzzed_indices_exit_0_or_2(command, e, f, special):
+    """Component indices and --special of the same texts are answered or refused (argparse's
+    SystemExit(2) counts as exit 2); a text with '_' or a non-ASCII digit is never read."""
+    argv = _INDEX_COMMANDS[command](e, f, special)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            assert code == 0 or code == 2 and err.getvalue().count("\n") == 1, argv
+    assert code in (0, 2), argv
+    assert code == 2 or not any("_" in text or "٣" in text for text in argv[3:]), argv
 
 
 _RECORD = st.fixed_dictionaries(

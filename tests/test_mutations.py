@@ -12,11 +12,15 @@ resultant and the refusal set, beside the lattice self-check.  For canonical key
 the unpruned backtracking oracle, on pair graphs and on two 2-regular graphs.  For
 the germ reader: the table of every refusal and the text round trip.  For a graph's
 kept id index: a scan of the vertex positions; for a smooth germ's centers: the walk
-up the parent chain, beside the count's canonical-coefficient check.  A mutation
-that survives stays in the table, either argued equivalent or with a new check.
+up the parent chain, beside the count's canonical-coefficient check.  For the
+command line's integer reader: a table of texts it reads or refuses, beside the
+refusal of the same digits at each intake.  A mutation that survives stays in the
+table, either argued equivalent or with a new check.
 """
 
+import contextlib
 import inspect
+import io
 import itertools
 import random
 import textwrap
@@ -58,7 +62,7 @@ from nasharc import (
     strict_transform_profile,
 )
 from nasharc import (
-    BlowupCluster, canonical, clusters, euler_bounds, exact_linalg, obstructions, polynomials, valuations,
+    BlowupCluster, canonical, cli, clusters, euler_bounds, exact_linalg, obstructions, polynomials, valuations,
 )
 from nasharc.dual_graphs import fixture_names
 from nasharc.valuations import ord_vector
@@ -315,6 +319,11 @@ def _all_nonpositive_inverted(monkeypatch):
     )
 
 
+def _zero_inverse_entries_offending(monkeypatch):
+    mutant = _mutated(exact_linalg, "check_inverse_nonpositive", "entry[2] > 0", "entry[2] >= 0")
+    monkeypatch.setattr(exact_linalg, "check_inverse_nonpositive", mutant)
+
+
 def _contradicts_disk_without_minimality(monkeypatch):
     monkeypatch.setattr(ContradictionCertificate, "contradicts_disk", property(lambda self: self.bound < 1))
 
@@ -335,6 +344,7 @@ def _b0_without_its_refusal(monkeypatch):
         pytest.param(_status_ignoring_the_witness, {"verdict oracle", "returns oracle"}, id="status"),
         pytest.param(_returns_accepting_a_non_integral_entry, {"returns oracle"}, id="returns"),
         pytest.param(_all_nonpositive_inverted, {"inverse sign oracle"}, id="sign"),
+        pytest.param(_zero_inverse_entries_offending, {"inverse sign oracle"}, id="zero entries offending"),
         pytest.param(_contradicts_disk_without_minimality, {"certificate oracle"}, id="disk"),
         pytest.param(_tubes_without_the_attachment_disk, {"assembly identity"}, id="tubes"),
         # the partial bounds telescope for any coefficients, a vanishing a_0 included, so
@@ -410,6 +420,49 @@ def test_a_germ_free_check_skipping_a_point_is_caught(monkeypatch, new, caught_b
     mutant = _mutated(clusters, "germ_touch_count", "chain[1:]", new)
     monkeypatch.setattr(clusters, "germ_touch_count", mutant)
     assert _germ_checks_that_catch() == caught_by
+
+
+# -- the command line's integer reader ----------------------------------------------
+
+_INTEGER_TEXTS = [(" 1 ", 1), ("+2", 2), ("01", 1), ("-0", 0), ("٠", None), ("1_0", None), ("", None),
+                  ("1 2", None), ("9" * 5000, None)]
+_DIGIT_REQUESTS = [  # each would be answered if ٠, ٢ or 1_0 were read as a number
+    ["val", "compare", "chain3", "٠", "٢"],
+    ["adj", "obstruct", "chain3", "0", "2", "--returns=0,0,0", "--special=٢"],
+    ["euler", "bound", "A2", "--coeffs=1,1", "--attach=٠"],
+    ["euler", "bound", "A2", "--coeffs=1_0,1", "--attach=0"],
+]
+
+
+def _intake_checks_that_catch() -> set[str]:
+    """The named checks that fail: a table of texts ``cli.integer`` reads (with their
+    values) or refuses, and the refusal (exit 2) of other digits at each intake."""
+    caught = set()
+    for text, value in _INTEGER_TEXTS:
+        try:
+            if cli.integer(text) != value:
+                caught.add("reader table")
+        except ValueError:
+            if value is not None:
+                caught.add("reader table")
+    for argv in _DIGIT_REQUESTS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code != 2:
+            caught.add("intake refusals")
+    return caught
+
+
+def test_the_unmutated_integer_reader_passes_every_check():
+    assert _intake_checks_that_catch() == set()
+
+
+def test_an_integer_reader_without_its_fullmatch_is_caught(monkeypatch):
+    monkeypatch.setattr(cli, "integer", _mutated(cli, "integer", "if not _INTEGER.fullmatch(text):", "if False:"))
+    assert _intake_checks_that_catch() == {"reader table", "intake refusals"}
 
 
 # -- explicit curvettes -----------------------------------------------------------

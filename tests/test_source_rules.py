@@ -9,6 +9,8 @@ exact integer is (an ``int`` but not a ``bool``): no other module tests for
 ``int`` with ``isinstance``.  Only ``clusters`` names the chart kinds.  Every
 public name has a user outside the tests, and the public names are exactly
 those the package's import block binds.  Every input limit is in the README.
+The command line reads an integer with ``cli.integer`` alone: argparse is never
+handed a builtin number type.
 """
 
 import ast
@@ -146,3 +148,14 @@ def test_digits_are_read_as_ascii_0_to_9():
     ]
     tests = [where for where, node in _nodes(ast.Attribute) if node.attr in ("isdecimal", "isdigit", "isnumeric")]
     assert regexes + tests == []
+
+
+def test_argparse_is_handed_no_builtin_number_type():
+    """``type=int`` reads ``1_0`` and every Unicode decimal digit, and ``float`` is not
+    exact; an argument's type is ``cli.integer``, which reads ``[0-9]`` runs."""
+    sites = [
+        where
+        for where, node in _nodes(ast.keyword)
+        if node.arg == "type" and isinstance(node.value, ast.Name) and node.value.id in ("int", "float")
+    ]
+    assert sites == []
