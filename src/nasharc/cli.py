@@ -11,8 +11,8 @@ the format asked for only) and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
 downstream; for a cluster M comes from its one simulation and the inverse
 is minus the curvette rows its replay keeps, built from the proximities
-and checked against its lattice with no elimination; M itself is swept
-once by ``cluster build`` (det M) and ``adj obstruct --returns`` (solves).
+and checked against its lattice with no elimination.  Only ``adj obstruct
+--returns`` sweeps M (to solve); ``cluster build`` reads det M = (-1)^n.
 
 Exit codes: 0 analysis completed (the verdict lives inside the report),
 2 input or validation error, 3 internal invariant violation.
@@ -237,7 +237,7 @@ def _cmd_graph_check(args) -> int:
         "determinant": format_rational(det),
         "inverse_sign": None if sign is None else sign.to_doc(),
     }
-    if args.export_dot:
+    if args.export_dot is not None:
         _write_dot(graph, args.export_dot, fields, lines)
     return _report(args, fields, lines, M, inverse)
 
@@ -249,7 +249,7 @@ def _cmd_cluster_build(args) -> int:
     if intersection_from_proximity(P).rows != M.rows:
         raise InternalInvariantError("simulated intersection matrix disagrees with -P^t P")
     coeffs = canonical_coeffs(cluster)
-    det = format_rational(M.determinant())
+    det = str((-1) ** cluster.n)  # M = -P^t P with P unitriangular (checked above): det M = (-1)^n
     lines = [
         f"cluster: {cluster.n} points",
         ("proximity matrix P", P),
@@ -267,7 +267,7 @@ def _cmd_cluster_build(args) -> int:
         "determinant": det,
         "canonical_coefficients": list(coeffs),
     }
-    if args.dot:
+    if args.dot is not None:
         _write_dot(graph, args.dot, fields, lines)
     return _report(args, fields, lines, M, inverse)
 
@@ -441,9 +441,9 @@ def _cmd_dfd_check(args) -> int:
 
 
 def _cmd_pair_canon(args) -> int:
-    if args.store and not args.kb:
+    if args.store is not None and args.kb is None:
         raise ValidationError("--store needs --kb, the verdict store to record into")
-    if args.provenance is not None and not args.store:
+    if args.provenance is not None and args.store is None:
         raise ValidationError("--provenance needs --store, the verdict it annotates")
     cluster = _load_input(args.input, "cluster")
     graph = pair_graph(cluster, args.e, args.f)
@@ -464,12 +464,12 @@ def _cmd_pair_canon(args) -> int:
         "canonical_key": key.as_text(),
         "key_digest": key.digest_hex(),
     }
-    if args.kb:
+    if args.kb is not None:
         path = os.path.realpath(args.kb)
         kb = _STORES.get(path)
         if kb is None:  # built only on a miss: a setdefault default is built every time
             kb = _STORES[path] = KnowledgeBase(os.path.abspath(args.kb))
-        if args.store:
+        if args.store is not None:
             record = kb.store(key, ObstructionStatus(args.store), args.provenance or "")
             lines.append(f"stored verdict {record.status.value} in {args.kb}")
             fields["kb"] = {"action": "store", **record.to_doc()}
@@ -579,6 +579,8 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if listed := [k for k, v in vars(args).items() if isinstance(v, list)]:  # argparse reads --opt=-- as []
+            raise ValidationError(f"argument --{listed[0].replace('_', '-')}: expected one argument")
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -73,7 +73,7 @@ class Poly2:
     # -- blow-up charts ---------------------------------------------------------
 
     def subst_free(self, c: Rational) -> "Poly2":
-        """Total transform in the chart (x, y) -> (x, x*(y + c)), also of the walk's x^-m-shifted germs."""
+        """Total transform in the chart (x, y) -> (x, x*(y + c))."""
         c = c if type(c) is int else exact_rational(c, "chart tangents")
         out: dict[Monomial, Rational] = {}
         for (a, b), coef in self.terms.items():

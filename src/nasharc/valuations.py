@@ -52,8 +52,8 @@ def curvette_order_rows(cluster: BlowupCluster) -> tuple[tuple[int, ...], ...]:
 
 def _chart_step(strict: dict, tangent, m: int) -> tuple[dict, int]:
     """Terms and multiplicity of the strict transform of a germ (terms ``strict``, multiplicity m)
-    in the chart of ``tangent``.  A nonzero tangent fixes x, so the germ is shifted by x^-m first,
-    a transient Poly2 with negative x-exponents that never escapes, and then substituted."""
+    in the chart of ``tangent``: the total transform, divided by the exceptional power x^m (y^m
+    in the INF chart)."""
     if min(a + b for a, b in strict) < m:
         raise InternalInvariantError("total transform is not divisible by the expected exceptional power")
     if tangent is INF:
@@ -61,7 +61,7 @@ def _chart_step(strict: dict, tangent, m: int) -> tuple[dict, int]:
     elif tangent == 0:
         out = {(a + b - m, b): v for (a, b), v in strict.items()}
     else:
-        out = _exact_poly({(a - m, b): v for (a, b), v in strict.items()}).subst_free(tangent).terms
+        out = {(a - m, b): v for (a, b), v in _exact_poly(strict).subst_free(tangent).terms.items()}
     if not out:
         raise InternalInvariantError("strict transform of a nonzero germ vanished")
     return out, min(a + b for a, b in out)
@@ -81,8 +81,6 @@ def _multiplicities(cluster: BlowupCluster, g: Poly2, points) -> list[int]:
     """Multiplicity of the strict transform of g at each of ``points`` (sorted, closed under
     proximity), 0 elsewhere: one chart step per point on the strict transform, by the multiplicity
     at its chart parent.  Off it the multiplicity is 0, and so at every point beyond."""
-    if g.is_zero():
-        raise ValidationError("the zero polynomial has no orders of vanishing")
     plan, strict, mult = cluster.plan, {0: g.terms}, [g.multiplicity()] + [0] * (cluster.n - 1)
     for i in points[1:]:
         parent, tangent = plan[i]

@@ -14,13 +14,16 @@ ordering of every ambiguous color class instead of the library's
 automorphism-pruned search, a smooth germ's centers by a walk up the parent
 chain instead of the proximity closure, and a graph's positions by a scan of
 its vertices instead of the index the graph keeps.  `count_eliminations` is
-a spy on the elimination kernel, `evaluate` a germ's value at a point, and
+a spy on the elimination kernel, `evaluate` a germ's value at a point,
 `GERM_REFUSALS` every refusal of the germ text grammar with one text that
-draws it.
+draws it, and `cluster_build_determinants` the Bareiss determinant of the M
+a `cluster build` report prints beside the determinant it reports.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import sys
@@ -64,6 +67,21 @@ def count_eliminations(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(exact_linalg, "_eliminate", spy)
     return calls
+
+
+def cluster_build_determinants(names) -> dict[str, tuple[str, str]]:
+    """For each cluster fixture, the determinant ``cluster build --format structured``
+    reports and the Bareiss determinant of the matrix M that report prints."""
+    from nasharc import cli
+
+    out = {}
+    for name in names:
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert cli.run(["cluster", "build", name, "--format", "structured"]) == 0, name
+        report = json.loads(text.getvalue())
+        M = ExactMatrix.from_rows([map(Fraction, row) for row in report["matrices"]["M"]["rows"]])
+        out[name] = (report["determinant"], str(M.determinant()))
+    return out
 
 
 def evaluate(poly: Poly2, x, y):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from helpers import count_eliminations
+from helpers import cluster_build_determinants, count_eliminations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,6 +213,14 @@ def test_cluster_build(tmp_path, capsys):
     assert report["determinant"] in ("1", "-1")
 
 
+def test_cluster_build_reports_the_bareiss_determinant_of_its_own_matrix():
+    """det M is read as (-1)^n; Bareiss elimination of the printed M stays its oracle."""
+    names = [f"chain{n}" for n in range(1, 25)] + ["satellite3", "twodir"]
+    reported = cluster_build_determinants(names)
+    assert [name for name, (det, bareiss) in reported.items() if det != bareiss] == []
+    assert {det for det, _ in reported.values()} == {"1", "-1"}
+
+
 def test_cluster_build_internal_invariant_exit_code(tmp_path, capsys, monkeypatch):
     from nasharc import ExactMatrix
 
@@ -236,6 +245,12 @@ def test_val_ord(capsys):
     assert code == 0 and ": 2" in out
     code, _, err = run_cli(capsys, "val", "ord", "chain2", "1", "--poly", "y -")
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("text", ["0", "x - x"])
+def test_val_ord_refuses_the_zero_germ_with_one_message(text, capsys):
+    expected = (2, "", "error: the zero polynomial has no multiplicity\n")
+    assert run_cli(capsys, "val", "ord", "chain2", "1", "--poly", text) == expected
 
 
 def test_val_ord_refuses_germs_past_the_size_limits(tmp_path, capsys):
@@ -525,6 +540,68 @@ def test_indices_take_a_sign_blanks_and_leading_zeros(plain, spelled, capsys):
     assert run_cli(capsys, *spelled) == expected
 
 
+def _valued_options():
+    """(command, option) for each option of each command that takes a value."""
+    def commands(parser):
+        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        return sub.choices.items()
+
+    return [(f"{group} {action}", option.option_strings[0])
+            for group, actions in commands(cli.build_parser())
+            for action, command in commands(actions)
+            for option in command._actions if option.option_strings and option.nargs is None]
+
+
+_VALUED_OPTIONS = _valued_options()
+_ANSWERED = {  # one request of each command that exits 0; a later --opt=-- overrides the option
+    "graph check": ["graph", "check", "A2"],
+    "cluster build": ["cluster", "build", "chain2"],
+    "val compare": ["val", "compare", "chain3", "1", "2"],
+    "val ord": ["val", "ord", "chain3", "1", "--poly=y"],
+    "adj obstruct": ["adj", "obstruct", "chain3", "0", "2", "--returns=0,0,0"],
+    "adj table": ["adj", "table", "chain3"],
+    "euler bound": ["euler", "bound", "A2", "--coeffs=1,1", "--attach=0"],
+    "dfd check": ["dfd", "check", "{model}"],
+    "pair canon": ["pair", "canon", "chain2", "0", "1"],
+}
+
+
+def test_every_command_and_valued_option_is_covered(tmp_path, capsys):
+    assert {command for command, _ in _VALUED_OPTIONS} == set(_ANSWERED) and len(_VALUED_OPTIONS) == 19
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"schema": "wedgemodel/1", "cluster": "chain2", "special": 1,
+                                 "c": [0, 0], "d": [0, 1]}), encoding="utf-8")
+    for argv in _ANSWERED.values():
+        assert run_cli(capsys, *(arg.format(model=model) for arg in argv))[0] == 0, argv
+
+
+@pytest.mark.parametrize("command, option", _VALUED_OPTIONS)
+def test_an_option_written_as_equals_double_dash_exits_2(command, option, tmp_path, capsys, monkeypatch):
+    """argparse reads --opt=-- as an empty list: a traceback, or the option silently dropped."""
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(model="model.json") for arg in _ANSWERED[command]] + [f"{option}=--"]
+    assert run_cli(capsys, *argv) == (2, "", f"error: argument {option}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pair", "canon", "chain2", "0", "1", "--kb", ""),
+        ("pair", "canon", "chain2", "0", "1", "--kb", "", "--store", "RULED_OUT"),
+        ("graph", "check", "A2", "--export-dot", ""),
+        ("cluster", "build", "chain2", "--dot", ""),
+    ],
+)
+def test_an_empty_path_reaches_its_reader_and_exits_2(argv, tmp_path, capsys, monkeypatch):
+    """Presence is tested with ``is None``: an empty path was taken for no option, exit 0."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_STORES", {})
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: cannot ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "pair", "canon", "chain2", "0", "1", "--store", "RULED_OUT")
@@ -619,8 +696,8 @@ def test_each_cluster_request_simulates_once_and_builds_one_lattice(tmp_path, ca
 
 
 def test_cluster_requests_eliminate_only_what_their_reports_ask_for(tmp_path, capsys, monkeypatch):
-    # curvette rows come from the proximities; the one sweep left is the
-    # determinant (cluster build) or the returns solve (adj obstruct --returns)
+    # curvette rows come from the proximities and det M = (-1)^n from M = -P^t P;
+    # the one sweep left is the returns solve (adj obstruct --returns)
     model = tmp_path / "model.json"
     model.write_text(
         json.dumps({
@@ -630,7 +707,7 @@ def test_cluster_requests_eliminate_only_what_their_reports_ask_for(tmp_path, ca
         encoding="utf-8",
     )
     expected = [
-        (["cluster", "build", "chain20"], [20]),
+        (["cluster", "build", "chain20"], []),
         (["adj", "obstruct", "chain3", "0", "2", "--returns", "0,0,0"], [3]),
         (["val", "compare", "chain20", "3", "17"], []),
         (["val", "ord", "chain5", "4", "--poly", "y - x^3"], []),

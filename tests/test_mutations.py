@@ -14,14 +14,18 @@ the germ reader: the table of every refusal and the text round trip.  For a grap
 kept id index: a scan of the vertex positions; for a smooth germ's centers: the walk
 up the parent chain, beside the count's canonical-coefficient check.  For the
 command line's integer reader: a table of texts it reads or refuses, beside the
-refusal of the same digits at each intake.  A mutation that survives stays in the
-table, either argued equivalent or with a new check.
+refusal of the same digits at each intake.  For the determinant ``cluster build``
+reads as (-1)^n: Bareiss elimination of the matrix its report prints.  For the
+verdict store: opposite verdicts for one key, stored or found on file, are refused.
+A mutation that survives stays in the table, either argued equivalent or with a new
+check.
 """
 
 import contextlib
 import inspect
 import io
 import itertools
+import json
 import random
 import textwrap
 from fractions import Fraction
@@ -31,6 +35,7 @@ from helpers import (
     GERM_REFUSALS,
     arc_orders,
     canonical_form_oracle,
+    cluster_build_determinants,
     eliminate_parameter,
     germ_touch_count_by_walk,
     index_disagreements,
@@ -48,11 +53,15 @@ from nasharc import (
     ExactMatrix,
     InternalInvariantError,
     InverseSignReport,
+    KnowledgeBase,
+    KnowledgeBaseConflict,
+    KnowledgeBaseError,
     ObstructionStatus,
     ObstructionVerdict,
     Poly2,
     ValidationError,
     canonical_key,
+    cluster_fixture,
     enumerate_proximity_structures,
     enumerate_tangent_assignments,
     intersection_matrix,
@@ -463,6 +472,83 @@ def test_the_unmutated_integer_reader_passes_every_check():
 def test_an_integer_reader_without_its_fullmatch_is_caught(monkeypatch):
     monkeypatch.setattr(cli, "integer", _mutated(cli, "integer", "if not _INTEGER.fullmatch(text):", "if False:"))
     assert _intake_checks_that_catch() == {"reader table", "intake refusals"}
+
+
+# -- the determinant of a cluster report and the verdict store ------------------------
+
+
+def _determinant_checks_that_catch() -> set[str]:
+    """The named check that fails: on clusters of both parities, the determinant a
+    ``cluster build`` report prints against Bareiss elimination of its printed M."""
+    reported = cluster_build_determinants(["chain1", "chain2", "satellite3", "twodir"])
+    return {"Bareiss determinant" for det, bareiss in reported.values() if det != bareiss}
+
+
+def test_the_unmutated_cluster_report_passes_every_check():
+    assert _determinant_checks_that_catch() == set()
+
+
+def test_a_determinant_of_the_wrong_sign_is_caught(monkeypatch):
+    mutant = _mutated(cli, "_cmd_cluster_build", "(-1) ** cluster.n", "(-1) ** (cluster.n + 1)")
+    monkeypatch.setattr(cli, "_cmd_cluster_build", mutant)
+    assert _determinant_checks_that_catch() == {"Bareiss determinant"}
+
+
+def _store_checks_that_catch(directory) -> set[str]:
+    """The named checks that fail on verdict stores in ``directory``: an opposite verdict
+    stored for a key on file is refused and leaves the file as it was, the same verdict
+    stored again returns the record on file, and a file holding opposite verdicts for one
+    key is refused, whether they were there when it was indexed or appended past that."""
+    key = canonical_key(pair_graph(cluster_fixture("chain2"), 0, 1))
+    ruled_out, not_ruled_out = ObstructionStatus.RULED_OUT, ObstructionStatus.NOT_RULED_OUT
+    caught = set()
+
+    def lines(statuses) -> str:
+        return "".join(json.dumps({"key": key.as_text(), "status": status.value}) + "\n" for status in statuses)
+
+    stored = directory / "stored.jsonl"
+    kb = KnowledgeBase(stored)
+    kb.store(key, ruled_out, "first")
+    before = stored.read_bytes()
+    with contextlib.suppress(KnowledgeBaseConflict):
+        kb.store(key, not_ruled_out)
+        caught.add("store conflict")
+    if kb.store(key, ruled_out, "second").provenance != "first":
+        caught.add("same verdict")
+    if stored.read_bytes() != before:
+        caught.add("store conflict")
+
+    for name, first, appended in (("conflict on file", [ruled_out, not_ruled_out], []),
+                                  ("conflict appended", [ruled_out], [not_ruled_out])):
+        path = directory / f"{name}.jsonl"
+        path.write_text(lines(first), encoding="utf-8")
+        kb = KnowledgeBase(path)
+        with contextlib.suppress(KnowledgeBaseError):
+            kb.lookup(key)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(lines(appended))
+            kb.lookup(key)
+            caught.add(name)
+    return caught
+
+
+def test_the_unmutated_store_passes_every_check(tmp_path):
+    assert _store_checks_that_catch(tmp_path) == set()
+
+
+@pytest.mark.parametrize(
+    "name, old, caught_by",
+    [
+        # a conflicting store returns the record on file and writes nothing: only the
+        # refusal check sees it, and the file itself stays free of conflicts
+        pytest.param("store", "if existing.status is not status:", {"store conflict"}, id="store"),
+        pytest.param("_parse", "if previous is not None and previous.status is not record.status:",
+                     {"conflict on file", "conflict appended"}, id="parse"),
+    ],
+)
+def test_a_verdict_store_without_its_conflict_check_is_caught(monkeypatch, tmp_path, name, old, caught_by):
+    monkeypatch.setattr(KnowledgeBase, name, _mutated(KnowledgeBase, name, old, "if False:"))
+    assert _store_checks_that_catch(tmp_path) == caught_by
 
 
 # -- explicit curvettes -----------------------------------------------------------

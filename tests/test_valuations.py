@@ -345,6 +345,26 @@ def test_the_walk_builds_no_checked_polynomial(monkeypatch):
     assert built == [] and walks > 10_000
 
 
+def test_the_walk_builds_no_polynomial_with_a_negative_exponent(monkeypatch):
+    """The free chart substitutes the strict transform itself and then divides by x^m;
+    the walk once shifted the germ by x^-m first and substituted that."""
+    subst_free = Poly2.subst_free
+    inputs = []
+
+    def checked(self, c):
+        inputs.append(self)
+        assert min(min(key) for key in self.terms) >= 0, self.terms
+        return subst_free(self, c)
+
+    monkeypatch.setattr(Poly2, "subst_free", checked)
+    for structure in enumerate_proximity_structures(4):
+        for cluster in enumerate_tangent_assignments(structure, TANGENT_POOL):
+            for g in sample_family():
+                ord_vector(cluster, g)
+                strict_transform_profile(cluster, g)
+    assert len(inputs) > 1000
+
+
 _STEP_TANGENTS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), 10**40 + 1, INF)
 _COEFFICIENTS = st.one_of(
     st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=6)
