@@ -33,8 +33,8 @@ twodir = cluster_fixture("twodir")
 chain2 = cluster_fixture("chain2")
 
 print("== the full table for the satellite triple ==")
-for (e, f), verdict in sorted(adjacency_table(satellite).items()):
-    print(f"  N_{f} in N_{e}: {verdict.status.value}")
+for _, verdict in sorted(adjacency_table(satellite).items()):
+    print(f"  {verdict.adjacency}: {verdict.status.value}")
 
 print()
 print("== a witness, and its explicit germ ==")

@@ -6,8 +6,8 @@ Subcommands: ``graph check``, ``cluster build``, ``val compare``,
 ``--format text|structured``; structured output is a single JSON document
 that parses back to the in-memory report.  Each command computes and
 words only its own result; one skeleton (``_report``) stamps the schema and
-the command, adds the lattice block, renders each matrix it is handed (in
-the format asked for only) and prints.  Reports echo the exact
+the command, adds the lattice block in both formats, renders each matrix it
+is handed (in the format asked for only) and prints.  Reports echo the exact
 intersection matrix and its inverse so the sign conventions can be audited
 downstream; for a cluster M comes from its one simulation and the inverse
 is minus the curvette rows its replay keeps, built from the proximities
@@ -155,11 +155,6 @@ def _parse_vertex_id(text: str, ids):
     return text
 
 
-def _lattice(M: ExactMatrix, inverse: ExactMatrix | None) -> list[tuple[str, ExactMatrix]]:
-    """The lattice block of a text report, unrendered: M, then M^-1 when there is one."""
-    return [("intersection matrix M", M)] + ([] if inverse is None else [("inverse M^-1", inverse)])
-
-
 def _cluster_lattice(cluster: BlowupCluster) -> tuple[DualGraph, ExactMatrix, ExactMatrix]:
     """The simulated graph, its lattice M and M^-1 read off the curvette rows the replay keeps."""
     graph = simulate(cluster)
@@ -170,6 +165,9 @@ def _report(args, fields: dict, lines: list, M=None, inverse=None) -> int:
     """Print one report, as text lines or as a JSON document; the exit code is 0.  The one
     place a matrix is rendered: a ``(title, matrix)`` line, a matrix field, M and M^-1."""
     if args.format == "text":
+        if M is not None and all(isinstance(line, str) for line in lines):  # M, M^-1 not yet shown
+            block = [("intersection matrix M", M), ("inverse M^-1", inverse)]
+            lines = lines + [line for line in block if line[1] is not None]
         text = []
         for line in lines:
             if isinstance(line, str):
@@ -288,7 +286,7 @@ def _cmd_val_compare(args) -> int:
         "comparison": result.value,
         "order_rows": {str(args.e): list(rows[args.e]), str(args.f): list(rows[args.f])},
     }
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_val_ord(args) -> int:
@@ -298,7 +296,7 @@ def _cmd_val_ord(args) -> int:
     _, M, inverse = _cluster_lattice(cluster)
     lines = [f"ord of {poly} along component {args.e}: {value}"]
     fields = {"e": args.e, "polynomial": str(poly), "ord": value}
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_adj_obstruct(args) -> int:
@@ -324,7 +322,7 @@ def _cmd_adj_obstruct(args) -> int:
         ]
         fields["returns_system"] = result.to_doc()
         fields["returns_special"] = special
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_adj_table(args) -> int:
@@ -332,11 +330,11 @@ def _cmd_adj_table(args) -> int:
     table = sorted(adjacency_table(cluster).items())
     _, M, inverse = _cluster_lattice(cluster)
     lines = [f"adjacency table over {cluster.n} components (row f into column e):"]
-    for (e, f), verdict in table:
+    for _, verdict in table:
         mark = "ruled out" if verdict.ruled_out else "not ruled out"
-        lines.append(f"  N_{f} in N_{e}: {mark}")
+        lines.append(f"  {verdict.adjacency}: {mark}")
     fields = {"verdicts": [{"e": e, "f": f, **verdict.to_doc()} for (e, f), verdict in table]}
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_euler_bound(args) -> int:
@@ -370,7 +368,7 @@ def _cmd_euler_bound(args) -> int:
     else:
         lines.append("no contradiction: bound does not exclude a disk")
     fields = {"bounds": parts, "certificate": cert.to_doc()}
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 WEDGE_SCHEMA = "wedgemodel/1"
@@ -437,10 +435,12 @@ def _cmd_dfd_check(args) -> int:
             + f": {verdict.reason}"
         )
         fields["lifting"] = verdict.to_doc()
-    return _report(args, fields, lines + _lattice(M, inverse), M, inverse)
+    return _report(args, fields, lines, M, inverse)
 
 
 def _cmd_pair_canon(args) -> int:
+    if args.kb == "":  # realpath would read it as the working directory
+        raise ValidationError("cannot use an empty --kb path")
     if args.store is not None and args.kb is None:
         raise ValidationError("--store needs --kb, the verdict store to record into")
     if args.provenance is not None and args.store is None:

@@ -293,13 +293,8 @@ def proximity_matrix(cluster: BlowupCluster) -> ExactMatrix:
 
 def intersection_from_proximity(P: ExactMatrix) -> ExactMatrix:
     """-P^t P; must coincide with the simulated intersection matrix."""
-    n = P.n
-    for i in range(n):
-        if P.rows[i][i] != 1:
-            raise ValidationError("proximity matrix must be lower unitriangular")
-        for j in range(i + 1, n):
-            if P.rows[i][j] != 0:
-                raise ValidationError("proximity matrix must be lower unitriangular")
+    if any(P.rows[i][i] != 1 or any(P.rows[i][i + 1:]) for i in range(P.n)):
+        raise ValidationError("proximity matrix must be lower unitriangular")
     return P.transpose().mul(P).neg()
 
 

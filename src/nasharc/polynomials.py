@@ -61,9 +61,6 @@ class Poly2:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def multiplicity(self) -> int:
         """Order of vanishing at the origin: the minimal total degree."""
         if not self.terms:
@@ -102,7 +99,7 @@ class Poly2:
 
     def exact_div(self, other: "Poly2") -> "Poly2":
         """Quotient when ``other`` divides exactly; raises otherwise."""
-        if other.is_zero():
+        if not other.terms:
             raise ValidationError("division by the zero polynomial")
         rem = dict(self.terms)
         quot: dict[Monomial, Rational] = {}

@@ -253,6 +253,13 @@ def test_val_ord_refuses_the_zero_germ_with_one_message(text, capsys):
     assert run_cli(capsys, "val", "ord", "chain2", "1", "--poly", text) == expected
 
 
+def test_val_ord_refuses_a_free_point_without_a_tangent(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"schema": "cluster/1", "points": [{}, {"parent": 0}]}), encoding="utf-8")
+    message = "point 1 is free without a tangent parameter; orders of polynomials need explicit coordinates"
+    assert run_cli(capsys, "val", "ord", str(path), "1", "--poly", "y") == (2, "", f"error: {message}\n")
+
+
 def test_val_ord_refuses_germs_past_the_size_limits(tmp_path, capsys):
     # y^200 + x^200*y^200 took seconds on this chain before germs were capped
     points = [{}] + [{"parent": i, "tangent": 1} for i in range(4)]
@@ -594,12 +601,15 @@ def test_an_option_written_as_equals_double_dash_exits_2(command, option, tmp_pa
     ],
 )
 def test_an_empty_path_reaches_its_reader_and_exits_2(argv, tmp_path, capsys, monkeypatch):
-    """Presence is tested with ``is None``: an empty path was taken for no option, exit 0."""
+    """Presence is tested with ``is None``: an empty path was taken for no option, exit 0.
+    An empty --kb is refused as typed, not read as the working directory and kept as a store."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_STORES", {})
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: cannot ")
     assert list(tmp_path.iterdir()) == []
+    assert tmp_path.name not in err
+    assert cli._STORES == {}
 
 
 def test_pair_canon_store_needs_kb(tmp_path, capsys, monkeypatch):

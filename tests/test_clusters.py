@@ -12,6 +12,7 @@ from nasharc import (
     INF,
     BlowupCluster,
     ClusterPoint,
+    ExactMatrix,
     InternalInvariantError,
     ValidationError,
     canonical_coeffs,
@@ -106,6 +107,9 @@ def test_intersection_from_proximity_rejects_non_triangular():
     # unit diagonal, but the proximities sit above it
     with pytest.raises(ValidationError, match="lower unitriangular"):
         intersection_from_proximity(proximity_matrix(SATELLITE).transpose())
+    # lower triangular, but a diagonal entry other than 1
+    with pytest.raises(ValidationError, match="lower unitriangular"):
+        intersection_from_proximity(ExactMatrix.from_rows([[1, 0], [-1, 2]]))
 
 
 def test_last_center_always_on_a_minus_one_vertex():

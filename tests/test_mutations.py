@@ -17,6 +17,8 @@ command line's integer reader: a table of texts it reads or refuses, beside the
 refusal of the same digits at each intake.  For the determinant ``cluster build``
 reads as (-1)^n: Bareiss elimination of the matrix its report prints.  For the
 verdict store: opposite verdicts for one key, stored or found on file, are refused.
+For the lattice block a text report ends in: the recorded reports.  For the check
+that P is lower unitriangular: a refusal for each half, beside the proximity identity.
 A mutation that survives stays in the table, either argued equivalent or with a new
 check.
 """
@@ -44,6 +46,7 @@ from helpers import (
     pushed_parametrization,
     random_decorated_graph,
 )
+from test_cli_reports import CASES, EXPECTED, transcript, write_inputs
 
 from nasharc import (
     INF,
@@ -67,6 +70,8 @@ from nasharc import (
     intersection_matrix,
     pair_graph,
     parse_poly,
+    proximity_matrix,
+    simulate,
     standard_fixture,
     strict_transform_profile,
 )
@@ -549,6 +554,81 @@ def test_the_unmutated_store_passes_every_check(tmp_path):
 def test_a_verdict_store_without_its_conflict_check_is_caught(monkeypatch, tmp_path, name, old, caught_by):
     monkeypatch.setattr(KnowledgeBase, name, _mutated(KnowledgeBase, name, old, "if False:"))
     assert _store_checks_that_catch(tmp_path) == caught_by
+
+
+# -- the lattice block of a text report and the unitriangular check -----------------
+
+
+@pytest.fixture
+def report_inputs(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+
+def _report_checks_that_catch() -> set[str]:
+    """The commands of the recorded report cases (``tests/cli_expected``) whose requests
+    no longer print their recording byte for byte, run where the cases' inputs are."""
+    return {" ".join(argv[:2]) for case, (argv, *_) in CASES.items()
+            if transcript(case).encode("utf-8") != (EXPECTED / f"{case}.txt").read_bytes()}
+
+
+def test_the_unmutated_reports_pass_every_check(report_inputs):
+    assert _report_checks_that_catch() == set()
+
+
+_INLINE_MATRICES = {"graph check", "cluster build"}
+
+
+@pytest.mark.parametrize(
+    "old, new, caught_by",
+    [
+        pytest.param("all(isinstance", "any(isinstance", _INLINE_MATRICES, id="any line a string"),
+        pytest.param(" and all(isinstance(line, str) for line in lines)", "", _INLINE_MATRICES,
+                     id="appended whenever there is M"),
+        pytest.param("M is not None and all(isinstance(line, str) for line in lines)", "False",
+                     {"val compare", "val ord", "adj obstruct", "adj table", "euler bound", "dfd check"},
+                     id="never appended"),
+    ],
+)
+def test_a_mutated_lattice_block_rule_is_caught(monkeypatch, report_inputs, old, new, caught_by):
+    monkeypatch.setattr(cli, "_report", _mutated(cli, "_report", old, new))
+    assert _report_checks_that_catch() == caught_by
+
+
+def _unitriangular_checks_that_catch() -> set[str]:
+    """The named checks that fail: -P^t P of the structures on <= 4 points against their
+    simulated lattices, and the refusal of a lower triangular P with a diagonal entry 2
+    and of an upper triangular P with a unit diagonal."""
+    caught = set()
+    for cluster in enumerate_proximity_structures(4):
+        try:
+            derived = clusters.intersection_from_proximity(proximity_matrix(cluster)).rows
+        except ValidationError:
+            derived = None
+        if derived != intersection_matrix(simulate(cluster)).rows:
+            caught.add("proximity identity")
+    for name, rows in (("diagonal refusal", [[1, 0], [-1, 2]]), ("upper refusal", [[1, -1], [0, 1]])):
+        with contextlib.suppress(ValidationError):
+            clusters.intersection_from_proximity(ExactMatrix.from_rows(rows))
+            caught.add(name)
+    return caught
+
+
+def test_the_unmutated_unitriangular_check_passes_every_check():
+    assert _unitriangular_checks_that_catch() == set()
+
+
+@pytest.mark.parametrize(
+    "new, caught_by",
+    [
+        pytest.param("any(P.rows[i][i + 1:])", {"diagonal refusal"}, id="diagonal half dropped"),
+        pytest.param("P.rows[i][i] != 1", {"upper refusal"}, id="upper half dropped"),
+    ],
+)
+def test_a_unitriangular_check_missing_a_half_is_caught(monkeypatch, new, caught_by):
+    mutant = _mutated(clusters, "intersection_from_proximity", "P.rows[i][i] != 1 or any(P.rows[i][i + 1:])", new)
+    monkeypatch.setattr(clusters, "intersection_from_proximity", mutant)
+    assert _unitriangular_checks_that_catch() == caught_by
 
 
 # -- explicit curvettes -----------------------------------------------------------

@@ -37,7 +37,7 @@ def test_a_germ_text_builds_one_polynomial(monkeypatch):
 
 
 def test_parse_cancellation():
-    assert parse_poly("x - x").is_zero()
+    assert not parse_poly("x - x").terms
 
 
 def test_parse_errors():
@@ -101,7 +101,7 @@ def test_arithmetic():
     x, y = Poly2({(1, 0): 1}), Poly2({(0, 1): 1})
     assert (x + y) * (x - y) == x * x - y * y
     assert (x + y) * (x + y) == x * x + x * y + x * y + y * y
-    assert (x - x).is_zero()
+    assert not (x - x).terms
 
 
 def test_degree_and_multiplicity():
@@ -205,7 +205,7 @@ def test_scalars_and_tangents_follow_the_exact_value_rule(scalar):
 def test_exact_scalars_and_tangents_are_taken_in_canonical_form():
     g = parse_poly("x + y")
     assert _coefficient_types(Poly2({(1, 0): Fraction(4, 2)})) == {int}
-    assert Poly2({(1, 0): 0}).is_zero()
+    assert not Poly2({(1, 0): 0}).terms
     assert g.subst_free(Fraction(2, 2)) == g.subst_free(1)
 
 

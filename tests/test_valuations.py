@@ -24,6 +24,7 @@ from nasharc import (
     Poly2,
     ValidationError,
     cluster_fixture,
+    cluster_from_doc,
     cluster_matrix,
     compare,
     curvette_order_rows,
@@ -211,6 +212,13 @@ def test_curvette_polynomial_needs_tangents():
         curvette_polynomial(bare, 1)
 
 
+def test_curvette_polynomial_refuses_a_free_point_without_a_tangent():
+    bare = cluster_from_doc({"schema": "cluster/1", "points": [{}, {"parent": 0}]})
+    message = "point 1 is free without a tangent parameter; an explicit curvette equation needs coordinates"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        curvette_polynomial(bare, 1)
+
+
 def test_curvette_polynomial_eliminates_once(monkeypatch):
     """One candidate per call: a supported point costs one self-check, a refused one none."""
     calls = []
@@ -371,7 +379,7 @@ _COEFFICIENTS = st.one_of(
 )
 _POLYS = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), _COEFFICIENTS, min_size=1, max_size=6
-).map(Poly2).filter(lambda p: not p.is_zero())
+).map(Poly2).filter(lambda p: p.terms)
 
 
 def _total_transform(h: Poly2, tangent) -> Poly2:
